@@ -5,6 +5,15 @@ Two independent routes are reconciled for every class: a closed-form case
 split on n, and an oracle that measures the collapse of the eigenvalue field
 under base extension through exact radical degrees.
 
+The oracle first bounds every m-th extension's radical degree mod a prime p,
+from the power sums p_m, ..., p_dm (d = deg q0) in one int64 table of q0's power
+sums mod p that q0's recurrence fills one matrix-vector product per block.
+Entries stay below p, so nothing wraps while d (p-1)^2 < 2^63; Newton inversion
+needs p > d.  Reduction mod p can merge roots but never split them, so the
+modular radical degree is at most the exact one and bounds the drop from above;
+exact radicals at the candidate maxima pin the result.  The isogeny test folds
+T(q x) mod x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
+
 The oracle corrects the raw degree drop in two documented situations:
   * whenever the extended radical is a real Weil polynomial (linear, or
     x^2 - q^m with m odd), the extension's Honda-Tate exponent is 2 and the
@@ -22,12 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import cyclotomic_poly
 from .intpoly import IntPoly, from_power_sums, power_sums
 from .madanpal import build_record
 from .weil import F2, WeilContext, is_ordinary, np_forces_geom_simple, radical, real_to_weil
 
-PROFILE_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 999999937)
+# primes below 2^25: an int64 power-sum table stays exact up to degree 8191
+PROFILE_PRIMES = (33554393, 33554383, 33554371)
 
 
 def divisors(n: int) -> list[int]:
@@ -58,34 +70,7 @@ def default_m_set(n: int | None = None) -> list[int]:
 
 # -- modular radical-degree profile -------------------------------------------
 
-
-def _poly_mulmod(a, b, mod_coeffs, p):
-    """Product of coefficient lists a*b modulo (monic mod_coeffs, p)."""
-    d = len(mod_coeffs) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(d):
-                out[k - d + j] = (out[k - d + j] - c * mod_coeffs[j]) % p
-    return [c % p for c in out[:d]] + [0] * max(0, d - len(out))
-
-
-def _powmod_x(m, mod_coeffs, p):
-    d = len(mod_coeffs) - 1
-    result = [1] + [0] * (d - 1)
-    base = ([0, 1] + [0] * (d - 2))[:d] if d >= 2 else [(-mod_coeffs[0]) % p]
-    while m:
-        if m & 1:
-            result = _poly_mulmod(result, base, mod_coeffs, p)
-        base = _poly_mulmod(base, base, mod_coeffs, p)
-        m >>= 1
-    return result
+_BLOCK = 256  # power sums produced per matrix-vector product
 
 
 def _gcd_degree_mod_p(f, fp, p):
@@ -115,31 +100,44 @@ def _gcd_degree_mod_p(f, fp, p):
     return len(a) - 1 if a else -1
 
 
-def _radical_degree_mod_p(q0: IntPoly, m: int, p: int) -> int:
-    """Degree of the squarefree part of the m-th base extension, modulo p."""
+def _power_sum_table(q0: IntPoly, count: int, p: int) -> np.ndarray:
+    """Power sums p_0..p_count of the roots of monic q0 mod p, as int64; past
+    p_d they follow p_j = -(c_0 p_{j-d} + ... + c_{d-1} p_{j-1})."""
     d = q0.degree()
-    mod_coeffs = [c % p for c in q0.coeffs]
-    # trace form: power sums of q0 mod p
-    base_ps = [s % p for s in power_sums(q0, d)]
-    traces = [d % p] + base_ps[: d - 1]
-    xm = _powmod_x(m, mod_coeffs, p)
-    # power sums of the extension: traces of x^(m*j) via repeated multiplication
-    cur = [1] + [0] * (d - 1)
-    ext_ps = []
-    for _ in range(d):
-        cur = _poly_mulmod(cur, xm, mod_coeffs, p)
-        ext_ps.append(sum(c * t for c, t in zip(cur, traces)) % p)
-    # Newton inversion mod p
-    coeffs = [1] + [0] * d
-    for k in range(1, d + 1):
-        acc = ext_ps[k - 1]
-        for i in range(1, k):
-            acc = (acc + coeffs[i] * ext_ps[k - i - 1]) % p
-        coeffs[k] = (-acc * pow(k, p - 2, p)) % p
-    ext = [coeffs[d - i] for i in range(d + 1)]
-    der = [(i * c) % p for i, c in enumerate(ext)][1:]
-    gdeg = _gcd_degree_mod_p(ext, der, p)
-    return d - max(gdeg, 0)
+    if p <= d or d * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"prime {p} out of range for an int64 power-sum table of degree {d}")
+    table = np.empty(count + 1, dtype=np.int64)
+    table[0] = d % p
+    table[1:d + 1] = [s % p for s in power_sums(q0, min(d, count))]
+    # row t expresses p_{k-d+1+t} through the state (p_{k-d+1}, ..., p_k)
+    rows = np.eye(d + _BLOCK, d, dtype=np.int64)
+    step = np.array([-c % p for c in q0.coeffs[:d]], dtype=np.int64)
+    for t in range(d, d + _BLOCK):
+        rows[t] = (step @ rows[t - d:t]) % p
+    rows = rows[d:]
+    for k in range(d, count, _BLOCK):
+        size = min(_BLOCK, count - k)
+        table[k + 1:k + 1 + size] = (rows[:size] @ table[k - d + 1:k + 1]) % p
+    return table
+
+
+def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
+    """{m: degree of the squarefree part of the m-th base extension mod p}."""
+    d = q0.degree()
+    table = _power_sum_table(q0, d * max(m_set), p)
+    inv = [pow(k, p - 2, p) for k in range(1, d + 1)]
+    out = {}
+    for m in m_set:
+        ext_ps = table[m:m * d + 1:m].tolist()
+        # Newton inversion mod p, then the gcd with the derivative
+        coeffs = [1] + [0] * d
+        for k in range(1, d + 1):
+            acc = ext_ps[k - 1] + sum(coeffs[i] * ext_ps[k - i - 1] for i in range(1, k))
+            coeffs[k] = (-acc * inv[k - 1]) % p
+        ext = coeffs[::-1]
+        der = [(i * c) % p for i, c in enumerate(ext)][1:]
+        out[m] = d - max(_gcd_degree_mod_p(ext, der, p), 0)
+    return out
 
 
 # -- exact verification at a chosen extension degree ---------------------------
@@ -204,9 +202,9 @@ def f_oracle(
 
     q0 is the squarefree Weil polynomial of the class (radical of the full
     Weil polynomial, which equals q0^e).  The profile over m_set is bounded
-    above modulo several primes and pinned by exact verification at the
-    candidate maxima, so the result is exact while large extension degrees
-    are never expanded over Z.
+    above modulo one prime (the next only if it degenerates) and pinned by
+    exact verification at the candidate maxima, so the result is exact while
+    large extension degrees are never expanded over Z.
     """
     if m_set is None:
         m_set = default_m_set()
@@ -215,48 +213,43 @@ def f_oracle(
     if weil_poly is not None and np_forces_geom_simple(weil_poly, ctx):
         return 1, 1
 
-    last_error = None
     for p in PROFILE_PRIMES:
-        try:
-            upper = {}
-            for m in m_set:
-                rdeg_p = _radical_degree_mod_p(q0, m, p)
-                if rdeg_p <= 0:
-                    raise ArithmeticError("degenerate modular radical degree")
-                upper[m] = Fraction(e * d, rdeg_p)
-            # baseline at m = 1 (q0 is squarefree, but the exponent may act)
-            _, rad1 = _exact_drop(q0, 1)
-            e1 = _extension_exponent(rad1, 1, ctx.q)
-            best_f = (e * d) // (e1 * rad1.degree())
-            best_m = 1
-            candidates = sorted(m_set, key=lambda m: (-upper[m], m))
-            for m in candidates:
-                if upper[m] <= best_f:
-                    break
-                fm_raw, rad_m = _exact_drop(q0, m)
-                em = _extension_exponent(rad_m, m, ctx.q)
-                num = e * d
-                den = em * rad_m.degree()
-                if num % den:
-                    raise ArithmeticError("corrected multiplicity is not an integer")
-                fm = num // den
-                if fm > best_f:
-                    best_f, best_m = fm, m
-            # smallest attaining m: check candidates below the current witness
-            for m in sorted(m_set):
-                if m >= best_m:
-                    break
-                if upper[m] >= best_f:
-                    fm_raw, rad_m = _exact_drop(q0, m)
-                    em = _extension_exponent(rad_m, m, ctx.q)
-                    if (e * d) // (em * rad_m.degree()) == best_f:
-                        best_m = m
-                        break
-            return best_f, best_m
-        except ArithmeticError as exc:
-            last_error = exc
-            continue
-    raise last_error if last_error else ArithmeticError("profile failed for all primes")
+        # only a degenerate prime moves on: p <= d, or a radical degree of 0
+        profile = _radical_degree_profile(q0, m_set, p) if p > d else {}
+        if profile and min(profile.values()) > 0:
+            break
+    else:
+        raise ArithmeticError("degenerate modular radical degree for every profile prime")
+    upper = {m: Fraction(e * d, rdeg) for m, rdeg in profile.items()}
+    # baseline at m = 1 (q0 is squarefree, but the exponent may act)
+    _, rad1 = _exact_drop(q0, 1)
+    e1 = _extension_exponent(rad1, 1, ctx.q)
+    best_f = (e * d) // (e1 * rad1.degree())
+    best_m = 1
+    candidates = sorted(m_set, key=lambda m: (-upper[m], m))
+    for m in candidates:
+        if upper[m] <= best_f:
+            break
+        fm_raw, rad_m = _exact_drop(q0, m)
+        em = _extension_exponent(rad_m, m, ctx.q)
+        num = e * d
+        den = em * rad_m.degree()
+        if num % den:
+            raise ArithmeticError("corrected multiplicity is not an integer")
+        fm = num // den
+        if fm > best_f:
+            best_f, best_m = fm, m
+    # smallest attaining m: check candidates below the current witness
+    for m in sorted(m_set):
+        if m >= best_m:
+            break
+        if upper[m] >= best_f:
+            fm_raw, rad_m = _exact_drop(q0, m)
+            em = _extension_exponent(rad_m, m, ctx.q)
+            if (e * d) // (em * rad_m.degree()) == best_f:
+                best_m = m
+                break
+    return best_f, best_m
 
 
 def f_from_formula(n: int) -> int:
@@ -334,30 +327,38 @@ def _build_reports_cached(n: int, ctx: WeilContext) -> tuple[DecompositionReport
 # -- geometric isogeny ----------------------------------------------------------
 
 
-def _ratio_poly_cyclotomic_orders(q1: IntPoly, q2: IntPoly, orders, q: int) -> bool:
-    """True iff some root ratio alpha/beta (alpha of q1, beta of q2) is a root
-    of unity of order in the given set.
-
-    A ratio alpha/beta equals alpha * conj(beta) / q, and the composed products
-    alpha * conj(beta) run over the same multiset as alpha * beta' because q2
-    has real coefficients.  The composed-product polynomial T is an integer
-    monic polynomial with power sums p_k(q1) * p_k(q2); a ratio of order d
-    exists iff Phi_d divides T(q x).  Everything stays in integer arithmetic
-    and no base extension is ever expanded.
-    """
-    d1, d2 = q1.degree(), q2.degree()
-    deg = d1 * d2
+def _scaled_ratio_poly(q1: IntPoly, q2: IntPoly, q: int) -> IntPoly:
+    """T(q x), whose roots are the ratios alpha/beta = alpha conj(beta) / q;
+    q2 is real, so T is the composed product with power sums p_k(q1) p_k(q2)."""
+    deg = q1.degree() * q2.degree()
     ps1 = power_sums(q1, deg)
     ps2 = power_sums(q2, deg)
     composed = from_power_sums([ps1[k] * ps2[k] for k in range(deg)], deg)
-    scaled = IntPoly([c * q ** i for i, c in enumerate(composed.coeffs)])
-    for dd in sorted(orders):
-        cyc = cyclotomic_poly(dd)
-        if cyc.degree() > deg:
-            continue
-        if (scaled % cyc).is_zero():
-            return True
-    return False
+    return IntPoly([c * q ** i for i, c in enumerate(composed.coeffs)])
+
+
+def _cyclotomic_divides(poly: IntPoly, dd: int) -> bool:
+    """True iff Phi_dd divides nonzero poly, tested on poly folded mod x^dd - 1."""
+    cyc = cyclotomic_poly(dd)
+    if cyc.degree() > poly.degree():
+        return False
+    folded = [0] * dd
+    for i, c in enumerate(poly.coeffs):
+        folded[i % dd] += c
+    return (IntPoly(folded) % cyc).is_zero()
+
+
+def _ratio_poly_cyclotomic_orders(q1: IntPoly, q2: IntPoly, orders, q: int) -> bool:
+    """True iff some root ratio alpha/beta (alpha of q1, beta of q2) is a root
+    of unity of order dd in orders, that is, iff Phi_dd divides T(q x)."""
+    scaled = _scaled_ratio_poly(q1, q2, q)
+    return any(_cyclotomic_divides(scaled, dd) for dd in orders)
+
+
+@lru_cache(maxsize=None)
+def _ratio_orders(m_set: tuple[int, ...]) -> tuple[int, ...]:
+    """Orders of the roots of unity whose m-th power is 1 for some m in m_set."""
+    return tuple(sorted({dd for m in m_set for dd in divisors(m)}))
 
 
 def geom_isogenous(n1: int, n2: int, m_set=None, ctx: WeilContext = F2) -> bool:
@@ -370,9 +371,7 @@ def geom_isogenous(n1: int, n2: int, m_set=None, ctx: WeilContext = F2) -> bool:
     """
     if m_set is None:
         m_set = default_m_set()
-    orders = set()
-    for m in m_set:
-        orders.update(divisors(m))
+    orders = _ratio_orders(tuple(sorted(set(m_set))))
     reps1, reps2 = build_reports(n1, ctx), build_reports(n2, ctx)
     for i, r1 in enumerate(reps1):
         for j, r2 in enumerate(reps2):

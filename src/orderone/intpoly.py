@@ -261,13 +261,15 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
         R = prem(A, B)
         A = B
         divisor = g * h ** delta
+        if any(c % divisor for c in R.coeffs):
+            raise ArithmeticError("subresultant division failed")
         B = IntPoly(c // divisor for c in R.coeffs)
-        assert all(c % divisor == 0 for c in R.coeffs), "subresultant division failed"
         g = A.lc()
         if delta > 0:
             num = g ** delta
             den = h ** (delta - 1)
-            assert num % den == 0, "subresultant h-update failed"
+            if num % den:
+                raise ArithmeticError("subresultant h-update failed")
             h = num // den
         if B.is_zero():
             return 0
@@ -275,7 +277,8 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
             dA = A.degree()
             num = B.lc() ** dA
             den = h ** (dA - 1)
-            assert num % den == 0, "subresultant final step failed"
+            if num % den:
+                raise ArithmeticError("subresultant final step failed")
             return s * t * (num // den)
 
 

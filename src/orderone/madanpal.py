@@ -79,7 +79,8 @@ def madan_pal_poly(n: int) -> IntPoly:
     p = poly_sqrt(square)
     if p.lc() < 0:
         p = -p
-    assert p.degree() == phi_n.degree()
+    if p.degree() != phi_n.degree():
+        raise ArithmeticError(f"P_{n} has degree {p.degree()}, expected {phi_n.degree()}")
     return p
 
 
@@ -100,7 +101,8 @@ def madan_pal_poly_cos_route(n: int) -> IntPoly:
         c = residual[d + k]
         psi[k] = c
         residual = residual - IntPoly([c]) * x2p1 ** k * IntPoly([0, 1]) ** (d - k)
-    assert residual.is_zero()
+    if not residual.is_zero():
+        raise ArithmeticError(f"Phi_{n} is not a polynomial in x + 1/x")
     core = IntPoly([1, -4, 1])
     acc = IntPoly()
     for j, c in enumerate(psi):
@@ -149,9 +151,12 @@ def build_record(n: int, ctx: WeilContext = F2) -> MadanPalRecord:
     prod = IntPoly([1])
     for f in factors:
         prod = prod * f
-    assert prod == real_weil, "factor transform does not multiply back"
-    assert p.degree() == max(2, euler_phi(n))
-    assert weil.eval(1) == 1, "order is not 1"
+    if prod != real_weil:
+        raise ArithmeticError(f"n={n}: factor transform does not multiply back")
+    if p.degree() != max(2, euler_phi(n)):
+        raise ArithmeticError(f"n={n}: P_n has degree {p.degree()}")
+    if weil.eval(1) != 1:
+        raise ArithmeticError(f"n={n}: order is not 1")
     return MadanPalRecord(
         n=n,
         p_n=p,

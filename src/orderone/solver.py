@@ -183,11 +183,13 @@ def candidate_h_set() -> list[LaurentExpr]:
         if t in used:
             continue
         ti = invert(t)
-        assert ti in S_MONOMIALS and ti != t
+        if ti not in S_MONOMIALS or ti == t:
+            raise ArithmeticError(f"{t} has no distinct inverse in the monomial set")
         used.add(t)
         used.add(ti)
         pairs.append((t, ti))
-    assert len(pairs) == 6
+    if len(pairs) != 6:
+        raise ArithmeticError(f"{len(pairs)} inversion pairs, expected 6")
     ucore = LaurentExpr.make([U_TERM, U_INV_TERM])
     for k in range(0, 4):
         for chosen in itertools.combinations(pairs, k):
@@ -195,7 +197,8 @@ def candidate_h_set() -> list[LaurentExpr]:
             for t, ti in chosen:
                 expr = expr + LaurentExpr.make([t, ti])
             out.append(expr)
-    assert len(out) == 70
+    if len(out) != 70:
+        raise ArithmeticError(f"{len(out)} subsum expressions, expected 70")
     return out
 
 

@@ -188,7 +188,8 @@ def _sign_quad(U: int, V: int, q: int) -> int:
     if (U > 0) == (V > 0):
         return 1 if U > 0 else -1
     lhs, rhs = U * U, q * V * V
-    assert lhs != rhs, "sqrt(q) cannot be rational here"
+    if lhs == rhs:
+        raise ArithmeticError("sqrt(q) cannot be rational here")
     return (1 if U > 0 else -1) if lhs > rhs else (1 if V > 0 else -1)
 
 

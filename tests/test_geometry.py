@@ -121,16 +121,165 @@ def test_divisors():
 def test_modular_radical_degree_matches_exact():
     """The modular profile must never exceed the exact radical degree, and for
     good primes it matches exactly; both facts are what the certification uses."""
-    from orderone.geometry import PROFILE_PRIMES, _radical_degree_mod_p
+    from orderone.geometry import PROFILE_PRIMES, _radical_degree_profile
     from orderone.intpoly import radical as exact_radical
 
+    ms = (1, 2, 3, 4, 6, 7, 8, 12, 14, 24, 30)
     for n in (1, 2, 3, 4, 5, 7, 8, 12):
         rec = build_record(n)
         for factor in set(rec.simple_factors):
             q0 = radical(real_to_weil(factor, F2))
-            for m in (1, 2, 3, 4, 6, 7, 8, 12, 14, 24, 30):
+            profiles = [_radical_degree_profile(q0, ms, p) for p in PROFILE_PRIMES]
+            for m in ms:
                 exact = exact_radical(base_extension(q0, m)).degree()
-                for p in PROFILE_PRIMES:
-                    modular = _radical_degree_mod_p(q0, m, p)
+                for p, profile in zip(PROFILE_PRIMES, profiles):
+                    modular = profile[m]
                     assert modular <= exact
                     assert modular == exact, (n, m, p)
+
+
+# -- independent per-m route: x^m mod (q0, p) by repeated squaring ---------------
+
+
+def _poly_mulmod(a, b, mod_coeffs, p):
+    """Product of coefficient lists a*b modulo (monic mod_coeffs, p)."""
+    d = len(mod_coeffs) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        if c:
+            out[k] = 0
+            for j in range(d):
+                out[k - d + j] = (out[k - d + j] - c * mod_coeffs[j]) % p
+    return [c % p for c in out[:d]] + [0] * max(0, d - len(out))
+
+
+def _powmod_x(m, mod_coeffs, p):
+    d = len(mod_coeffs) - 1
+    result = [1] + [0] * (d - 1)
+    base = ([0, 1] + [0] * (d - 2))[:d] if d >= 2 else [(-mod_coeffs[0]) % p]
+    while m:
+        if m & 1:
+            result = _poly_mulmod(result, base, mod_coeffs, p)
+        base = _poly_mulmod(base, base, mod_coeffs, p)
+        m >>= 1
+    return result
+
+
+def _radical_degree_mod_p(q0, m, p):
+    """Degree of the squarefree part of the m-th base extension, modulo p,
+    with the traces of x^(m j) taken from x^m mod q0."""
+    from orderone.geometry import _gcd_degree_mod_p
+    from orderone.intpoly import power_sums
+
+    d = q0.degree()
+    mod_coeffs = [c % p for c in q0.coeffs]
+    base_ps = [s % p for s in power_sums(q0, d)]
+    traces = [d % p] + base_ps[: d - 1]
+    xm = _powmod_x(m, mod_coeffs, p)
+    cur = [1] + [0] * (d - 1)
+    ext_ps = []
+    for _ in range(d):
+        cur = _poly_mulmod(cur, xm, mod_coeffs, p)
+        ext_ps.append(sum(c * t for c, t in zip(cur, traces)) % p)
+    coeffs = [1] + [0] * d
+    for k in range(1, d + 1):
+        acc = ext_ps[k - 1]
+        for i in range(1, k):
+            acc = (acc + coeffs[i] * ext_ps[k - i - 1]) % p
+        coeffs[k] = (-acc * pow(k, p - 2, p)) % p
+    ext = [coeffs[d - i] for i in range(d + 1)]
+    der = [(i * c) % p for i, c in enumerate(ext)][1:]
+    gdeg = _gcd_degree_mod_p(ext, der, p)
+    return d - max(gdeg, 0)
+
+
+def _class_radicals(n):
+    return [radical(real_to_weil(f, F2)) for f in dict.fromkeys(build_record(n).simple_factors)]
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)))
+def test_profile_table_matches_per_m_route(n):
+    from orderone.geometry import PROFILE_PRIMES, _radical_degree_profile
+
+    ms = default_m_set(n)
+    for q0 in _class_radicals(n):
+        for p in PROFILE_PRIMES:
+            profile = _radical_degree_profile(q0, ms, p)
+            assert profile == {m: _radical_degree_mod_p(q0, m, p) for m in ms}, (n, p)
+
+
+def test_power_sum_table_matches_exact_power_sums():
+    from orderone.geometry import PROFILE_PRIMES, _BLOCK, _power_sum_table
+    from orderone.intpoly import power_sums
+
+    p = PROFILE_PRIMES[0]
+    for n in (1, 3, 7, 31):
+        for q0 in _class_radicals(n):
+            d = q0.degree()
+            for count in (1, d - 1, d, 2 * _BLOCK, 3 * _BLOCK + 5, d + _BLOCK):
+                if count < 1:
+                    continue
+                table = _power_sum_table(q0, count, p)
+                assert table.dtype.name == "int64" and len(table) == count + 1
+                want = [d % p] + [s % p for s in power_sums(q0, count)]
+                assert table.tolist() == want, (n, count)
+
+
+def test_profile_guard_rejects_primes_that_could_wrap():
+    from orderone.geometry import _power_sum_table, _radical_degree_profile
+
+    q0 = _class_radicals(7)[0]
+    d = q0.degree()
+    for p in (2 ** 61 - 1, 2 ** 31 - 1, 3037000493):  # d (p-1)^2 >= 2^63
+        assert d * (p - 1) ** 2 >= 2 ** 63
+        with pytest.raises(ValueError):
+            _radical_degree_profile(q0, [1, 2], p)
+    with pytest.raises(ValueError):
+        _power_sum_table(q0, 4 * d, 2)  # p <= d: no Newton inversion mod p
+
+
+def test_f_oracle_does_not_retry_exact_failures(monkeypatch):
+    from orderone import geometry
+
+    calls = []
+
+    def failing_drop(q0, m):
+        calls.append(m)
+        raise ArithmeticError("exact route failed")
+
+    monkeypatch.setattr(geometry, "_exact_drop", failing_drop)
+    q0 = _class_radicals(3)[0]
+    with pytest.raises(ArithmeticError, match="exact route failed"):
+        geometry.f_oracle(q0, default_m_set(3))
+    assert calls == [1]
+
+
+def test_fold_agrees_with_direct_division():
+    """Folding mod x^dd - 1 before dividing by Phi_dd gives the same verdict as
+    dividing directly, for every order on every pair the prefilter passes."""
+    from orderone.cyclo import cyclotomic_poly
+    from orderone.geometry import _cyclotomic_divides, _ratio_orders, _scaled_ratio_poly
+
+    orders = _ratio_orders(tuple(default_m_set()))
+    tested = hits = 0
+    for n2 in range(1, 31):
+        for n1 in range(1, n2 + 1):
+            reps1, reps2 = build_reports(n1), build_reports(n2)
+            for i, r1 in enumerate(reps1):
+                for j, r2 in enumerate(reps2):
+                    if n1 == n2 and i >= j:
+                        continue
+                    if r1.dimension * r2.f_oracle != r2.dimension * r1.f_oracle:
+                        continue
+                    scaled = _scaled_ratio_poly(radical(r1.weil), radical(r2.weil), 2)
+                    for dd in orders:
+                        direct = (scaled % cyclotomic_poly(dd)).is_zero()
+                        assert _cyclotomic_divides(scaled, dd) == direct, (n1, n2, dd)
+                        tested += 1
+                        hits += direct
+    assert tested > 0 and hits > 0
