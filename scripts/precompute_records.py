@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Warm the on-disk cache with the family records for n <= 64."""
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from orderone import serialize
 from orderone.madanpal import build_record

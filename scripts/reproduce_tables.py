@@ -3,8 +3,9 @@
 relation classes of weight at most 8, and the sporadic order patterns of the
 bounded solution search."""
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from orderone.relations import enumerate_indecomposable
 from orderone.solver import classify_solutions, solve_bounded

@@ -5,8 +5,9 @@ Exit status 0 if everything is reproduced, 1 otherwise.
 """
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from orderone.geometry import (
     EXPECTED_GEOM_PAIRS,

@@ -3,7 +3,7 @@ varieties of order 1 over F_2."""
 
 from .cyclo import CycInt, cyclotomic_poly
 from .intpoly import IntPoly
-from .roots import RootOfUnity, root, root_mul
+from .roots import RootOfUnity, root
 
 __version__ = "0.1.0"
 
@@ -13,5 +13,4 @@ __all__ = [
     "RootOfUnity",
     "cyclotomic_poly",
     "root",
-    "root_mul",
 ]

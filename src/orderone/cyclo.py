@@ -196,9 +196,7 @@ def _coerce(v) -> CycInt:
 
 def root_sum(parts: list[tuple[int, RootOfUnity]], level: int | None = None) -> CycInt:
     """Exact sum of sign*root contributions at the lcm level (or a given multiple)."""
-    lv = level or math.lcm(*(r.den for _, r in parts)) if parts else (level or 1)
-    if level is None and parts:
-        lv = math.lcm(*(r.den for _, r in parts))
+    lv = level or math.lcm(*(r.den for _, r in parts))
     c = [0] * lv
     for sign, r in parts:
         if lv % r.den:

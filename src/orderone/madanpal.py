@@ -6,6 +6,9 @@ an integer polynomial of degree max(2, phi(n)).  The abelian variety A_n has
 real Weil polynomial P_n(3 - x) (monic-normalized) and Weil polynomial of
 order 1.  P_n is reducible exactly for n in {2, 7, 30}; the known factors are
 pinned below and verified by exact multiplication.
+
+P_n is built from the minimal polynomial of 2*cos(2*pi/n), read off Phi_n.
+The test suite checks it against an independent resultant construction.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import cyclotomic_poly
-from .intpoly import IntPoly, interpolate, poly_sqrt, resultant
+from .intpoly import IntPoly
 from .weil import (
     F2,
     NewtonPolygon,
@@ -48,11 +51,10 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def madan_pal_poly(n: int) -> IntPoly:
-    """P_n, computed exactly.
+    """P_n, computed exactly through the minimal polynomial of 2*cos(2*pi/n).
 
-    For n >= 3 the resultant Res_y(Phi_n(y), y*x^2 - (y^2+4y+1)*x + y) equals
-    P_n(x)^2 because the factors for k and n-k coincide; the square root is
-    extracted coefficient-by-coefficient and verified by squaring.
+    Phi_n(x) = x^(phi(n)/2) * psi_n(x + 1/x) for n >= 3, and then
+    P_n(x) = sum_j psi_j * (x^2 - 4x + 1)^j * x^(d - j).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -60,38 +62,6 @@ def madan_pal_poly(n: int) -> IntPoly:
         return IntPoly([1, -6, 1])
     if n == 2:
         return IntPoly([1, -2, 1])
-    if euler_phi(n) > 64:
-        # same value by the half-angle construction; the two routes are
-        # cross-checked on the overlap range in the test suite
-        return madan_pal_poly_cos_route(n)
-    phi_n = cyclotomic_poly(n)
-    deg = 2 * phi_n.degree()
-    pts = []
-    c = -(deg // 2)
-    for _ in range(deg + 1):
-        # B(y, c) = -c*y^2 + (c^2 - 4c + 1)*y - c
-        b = IntPoly([-c, c * c - 4 * c + 1, -c])
-        pts.append((c, resultant(phi_n, b)))
-        c += 1
-    square = interpolate(pts)
-    if square.lc() < 0:
-        square = -square
-    p = poly_sqrt(square)
-    if p.lc() < 0:
-        p = -p
-    if p.degree() != phi_n.degree():
-        raise ArithmeticError(f"P_{n} has degree {p.degree()}, expected {phi_n.degree()}")
-    return p
-
-
-def madan_pal_poly_cos_route(n: int) -> IntPoly:
-    """Independent construction of P_n through the minimal polynomial of 2*cos(2*pi/n).
-
-    Phi_n(x) = x^(phi(n)/2) * psi_n(x + 1/x) for n >= 3, and then
-    P_n(x) = sum_j psi_j * (x^2 - 4x + 1)^j * x^(d - j).
-    """
-    if n < 3:
-        return madan_pal_poly(n)
     phi_n = cyclotomic_poly(n)
     d = phi_n.degree() // 2
     residual = phi_n

@@ -2,6 +2,16 @@
 (or mod-2 vanishing) sum, their classification at small weight, sign lifts,
 and conjugation-stable partitions.
 
+Every exact search is one meet-in-the-middle, `_vanishing_masks`: subsets of
+a multiset (each entry taken 0 or 1 times) and sign lifts (each entry taken
++1 or -1 times, the first sign fixed) both ask which assignments of a choice
+set make a sum of power-basis vectors vanish.  Vectors are packed into one
+Python int each, so a vector sum is one integer addition; the packing width
+is derived from the inputs, so every sum the search forms packs injectively.
+The tables and the scan keep a fixed order, so a first-hit search (a lift, a
+vanishing subset) returns the same answer on every run.  The mod-2 searches
+are linear algebra over GF(2) and do not use it.
+
 Element values live in the group of roots of unity; an entry is stored as
 (root, sign) with the canonical split convention that sign = -1 is used
 exactly when the value is minus a root of odd order.  This matches the
@@ -114,10 +124,6 @@ class Relation:
         return f"Relation[{', '.join(parts)}]"
 
 
-def relation_sum(r: Relation) -> CycInt:
-    return r.sum()
-
-
 @dataclass(frozen=True)
 class RelationClass:
     representative: Relation
@@ -147,18 +153,10 @@ def _type_label(rel: Relation) -> str:
 # -- vector forms ------------------------------------------------------------
 
 
-def _vectors(values: list[RootOfUnity]) -> tuple[int, list[tuple[int, ...]]]:
+def _vectors(values: list[RootOfUnity]) -> list[tuple[int, ...]]:
     """Power-basis integer vectors of the values at their common level."""
-    level = math.lcm(*(v.den for v in values)) if values else 1
-    return level, [reduced_root_vector(v, level) for v in values]
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_neg(a):
-    return tuple(-x for x in a)
+    level = math.lcm(*(v.den for v in values))
+    return [reduced_root_vector(v, level) for v in values]
 
 
 def _bitmask(vec: tuple[int, ...]) -> int:
@@ -169,54 +167,66 @@ def _bitmask(vec: tuple[int, ...]) -> int:
     return m
 
 
-def _subset_sums(vectors, indices):
-    """All subset sums over the given indices: dict sum -> up to two distinct masks."""
-    zero = tuple(0 for _ in vectors[0]) if vectors else ()
-    out = {zero: [0]}
-    for pos, idx in enumerate(indices):
-        add = vectors[idx]
-        items = list(out.items())
-        for s, masks in items:
-            ns = _vec_add(s, add)
-            bucket = out.setdefault(ns, [])
-            for m in masks:
-                nm = m | (1 << pos)
-                if len(bucket) < 2 and nm not in bucket:
-                    bucket.append(nm)
-    return out
+def _assignments(packed: list[int], choices) -> list[tuple[int, int]]:
+    """(packed sum, mask) of every assignment, bit i picking choices[bit] for vector i.
 
-
-def _find_vanishing_subset(vectors) -> int | None:
-    """Mask of a proper nonempty subset with exact zero sum, or None.
-
-    Meet-in-the-middle over the two halves; the word "subset" is at the level
-    of entry indices, so repeated values are handled as a multiset.
+    Lexicographic order, vector 0 most significant and choices in the given order.
     """
-    w = len(vectors)
-    if w < 2:
-        return None
-    left = list(range(w // 2))
-    right = list(range(w // 2, w))
-    sums_l = _subset_sums(vectors, left)
-    full_l = (1 << len(left)) - 1
-    full_r = (1 << len(right)) - 1
-    # enumerate right subsets depth-first
-    zero = tuple(0 for _ in vectors[0])
-    stack = [(0, zero, 0)]
-    while stack:
-        pos, s, mask = stack.pop()
-        if pos == len(right):
-            need = _vec_neg(s)
-            for ml in sums_l.get(need, []):
-                if mask == 0 and ml == 0:
-                    continue
-                if mask == full_r and ml == full_l:
-                    continue
-                return ml | (mask << len(left))
-            continue
-        stack.append((pos + 1, s, mask))
-        stack.append((pos + 1, _vec_add(s, vectors[right[pos]]), mask | (1 << pos)))
-    return None
+    sums = [(0, 0)]
+    for pos, v in enumerate(packed):
+        moves = [(c * v, bit << pos) for bit, c in enumerate(choices)]
+        sums = [(s + d, m | step) for s, m in sums for d, step in moves]
+    return sums
+
+
+@lru_cache(maxsize=4096)
+def _pack(vec: tuple[int, ...], b: int) -> int:
+    return sum(x << (b * i) for i, x in enumerate(vec) if x)
+
+
+def _vanishing_masks(vectors, choices, offset=None):
+    """Yield every mask whose assignment makes offset + sum c_i * v_i vanish.
+
+    c_i is choices[(mask >> i) & 1], and each choice is 0, 1 or -1: (0, 1)
+    searches subsets, (1, -1) signs.  Meet-in-the-middle: the assignments of
+    the first len // 2 vectors are tabled by sum; those of the rest but the
+    last are listed, and each is completed by every choice for the last
+    vector and looked up as it is formed, so a caller that stops at its
+    first hit stops early.  Both halves run in lexicographic order (vector 0
+    first, choices in the given order), so the first hit pairs the first
+    right half that has a completion with the first such completion.
+
+    Each vector x is packed as the int sum x_i * 2^(b*i).  With n rows (the
+    vectors and the offset) and M the largest |coordinate|, every coordinate
+    of every sum compared lies in [-nM, nM], and b = (nM).bit_length() + 1
+    gives nM < 2^(b-1).  Two such sums that pack equal differ by digits of
+    size below 2^b, which must all be zero, so equal packs mean equal
+    vectors.  Python ints are unbounded, so no width can overflow.
+    """
+    rows = list(vectors) if offset is None else [*vectors, offset]
+    height = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+    b = (len(rows) * height).bit_length() + 1
+    packed = [_pack(v, b) for v in vectors]
+    target = -_pack(offset, b) if offset is not None else 0
+    if not packed:
+        if target == 0:
+            yield 0
+        return
+    half, top = len(packed) // 2, len(packed) - 1
+    left: dict[int, list[int]] = {}
+    for s, m in _assignments(packed[:half], choices):
+        left.setdefault(s, []).append(m)
+    last = [(target - c * packed[top], bit << top) for bit, c in enumerate(choices)]
+    for s, mr in _assignments(packed[half:top], choices):
+        for need, step in last:
+            for ml in left.get(need - s, ()):
+                yield ml | (mr << half) | step
+
+
+def _proper_vanishing_subsets(vectors):
+    """Masks of the nonempty proper index subsets with exact zero sum."""
+    full = (1 << len(vectors)) - 1
+    return (m for m in _vanishing_masks(vectors, (0, 1)) if m not in (0, full))
 
 
 def _gf2_kernel(masks: list[int]) -> list[int]:
@@ -264,12 +274,10 @@ def is_indecomposable(r: Relation, mod2: bool = False) -> bool:
         raise ValueError("input is not a valid relation")
     if r.weight == 0:
         return False
-    values = r.values()
+    vecs = _vectors(r.values())
     if mod2:
-        level, vecs = _vectors(values)
         return _find_even_subset([_bitmask(v) for v in vecs]) is None
-    level, vecs = _vectors(values)
-    return _find_vanishing_subset(vecs) is None
+    return next(_proper_vanishing_subsets(vecs), None) is None
 
 
 # -- enumeration of indecomposable relations at weight <= 8 -------------------
@@ -378,51 +386,11 @@ def _prime_factors(n: int) -> list[int]:
 # -- sign lifts of mod-2 relations --------------------------------------------
 
 
-def _lift_assignments(values: list[RootOfUnity], count_only: bool):
-    """Sign vectors sigma (sigma_0 = +1) with vanishing signed sum, by meet-in-the-middle."""
-    w = len(values)
-    level, vecs = _vectors(values)
-    left = list(range(1, 1 + (w - 1) // 2))
-    right = list(range(1 + (w - 1) // 2, w))
-    base = vecs[0]
-
-    def signed_sums(indices):
-        acc = {(tuple(0 for _ in base) if base else ()): [0]}
-        for pos, idx in enumerate(indices):
-            v = vecs[idx]
-            nxt: dict = {}
-            for s, masks in acc.items():
-                for delta, bit in ((v, 0), (_vec_neg(v), 1)):
-                    ns = _vec_add(s, delta)
-                    bucket = nxt.setdefault(ns, [])
-                    for m in masks:
-                        bucket.append(m | (bit << pos))
-            acc = nxt
-        return acc
-
-    sums_l = signed_sums(left)
-    sums_r = signed_sums(right)
-    total = 0
-    found = []
-    for sr, masks_r in sums_r.items():
-        need = _vec_neg(_vec_add(base, sr))
-        masks_l = sums_l.get(need)
-        if not masks_l:
-            continue
-        total += len(masks_l) * len(masks_r)
-        if not count_only and not found:
-            found = [(masks_l[0], masks_r[0])]
-    if count_only:
-        return total
-    if not found:
-        return None
-    ml, mr = found[0]
-    sigma = [1] * w
-    for pos, idx in enumerate(left):
-        sigma[idx] = -1 if (ml >> pos) & 1 else 1
-    for pos, idx in enumerate(right):
-        sigma[idx] = -1 if (mr >> pos) & 1 else 1
-    return sigma
+def _lifts(values: list[RootOfUnity]):
+    """Sign vectors sigma (sigma_0 = +1) with vanishing signed sum, first hit first."""
+    vecs = _vectors(values)
+    for mask in _vanishing_masks(vecs[1:], (1, -1), offset=vecs[0]):
+        yield [1] + [-1 if (mask >> i) & 1 else 1 for i in range(len(values) - 1)]
 
 
 def lift_mod2(r: Relation) -> Relation | None:
@@ -439,7 +407,7 @@ def lift_mod2(r: Relation) -> Relation | None:
     if r.weight == 0:
         return r
     values = r.values()
-    sigma = _lift_assignments(values, count_only=False)
+    sigma = next(_lifts(values), None)
     if sigma is None:
         return None
     return Relation.make([(v, s) for v, s in zip(values, sigma)])
@@ -453,7 +421,7 @@ def lift_is_unique(r: Relation) -> bool:
         raise ValueError("input is not a mod-2 relation")
     if r.weight == 0:
         return True
-    return _lift_assignments(r.values(), count_only=True) == 1
+    return len(list(itertools.islice(_lifts(r.values()), 2))) == 1
 
 
 # -- conjugation-stable partitions ---------------------------------------------
@@ -477,13 +445,6 @@ def _conjugation_involution(values: list[RootOfUnity]) -> list[int]:
             for i, j in zip(idxs, partners):
                 c[i] = j
     return c
-
-
-def _even_sum(masks, subset) -> bool:
-    acc = 0
-    for i in subset:
-        acc ^= masks[i]
-    return acc == 0
 
 
 def _find_indecomposable_part(masks, indices: frozenset[int]) -> frozenset[int]:
@@ -527,7 +488,7 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
         raise ValueError("input is not a valid relation")
     values = r.values()
     c = _conjugation_involution(values)
-    level, vecs = _vectors(values)
+    vecs = _vectors(values)
     masks = [_bitmask(v) for v in vecs]
     if mod2:
         parts = _mod2_partition(masks, c, frozenset(range(len(values))))
@@ -541,43 +502,14 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
 
 def _zero_sum_subsets(vectors) -> list[int]:
     """All proper nonempty index subsets with exact zero sum, as masks, smallest first."""
-    w = len(vectors)
-    if w < 2:
-        return []
-    left = list(range(w // 2))
-    right = list(range(w // 2, w))
-    sums_l: dict = {}
-    zero = tuple(0 for _ in vectors[0])
-    stack = [(0, zero, 0)]
-    while stack:
-        pos, s, mask = stack.pop()
-        if pos == len(left):
-            sums_l.setdefault(s, []).append(mask)
-            continue
-        stack.append((pos + 1, s, mask))
-        stack.append((pos + 1, _vec_add(s, vectors[left[pos]]), mask | (1 << pos)))
-    full = (1 << w) - 1
-    out = []
-    stack = [(0, zero, 0)]
-    while stack:
-        pos, s, mask = stack.pop()
-        if pos == len(right):
-            for ml in sums_l.get(_vec_neg(s), []):
-                m = ml | (mask << len(left))
-                if m not in (0, full):
-                    out.append(m)
-            continue
-        stack.append((pos + 1, s, mask))
-        stack.append((pos + 1, _vec_add(s, vectors[right[pos]]), mask | (1 << pos)))
-    out.sort(key=lambda m: (bin(m).count("1"), m))
-    return out
+    return sorted(_proper_vanishing_subsets(vectors), key=lambda m: (bin(m).count("1"), m))
 
 
 def _plain_partition(values: list[RootOfUnity], out: list[list[RootOfUnity]]) -> None:
     """Partition into indecomposable exact relations, no conjugation constraint."""
     if not values:
         return
-    _, vecs = _vectors(values)
+    vecs = _vectors(values)
     subsets = _zero_sum_subsets(vecs)
     if not subsets:
         out.append(list(values))
@@ -600,7 +532,7 @@ def _exact_partition(values: list[RootOfUnity], out: list[list[RootOfUnity]]) ->
     """Conjugation-stable refinement of a conjugation-stable exact relation."""
     if not values:
         return
-    _, vecs = _vectors(values)
+    vecs = _vectors(values)
     subsets = _zero_sum_subsets(vecs)
     if not subsets:
         out.append(list(values))

@@ -70,7 +70,3 @@ ROOT_MINUS_ONE = RootOfUnity(2, 1)
 
 def root(num: int, den: int) -> RootOfUnity:
     return RootOfUnity.make(num, den)
-
-
-def root_mul(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
-    return a * b

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, from_power_sums, interpolate, power_sums, prem, radical, resultant
+from .intpoly import IntPoly, from_power_sums, power_sums, prem, radical
 
 
 def _is_prime(n: int) -> bool:
@@ -250,12 +250,11 @@ def is_real_weil(r: IntPoly, ctx: WeilContext) -> bool:
 # -- base extension -----------------------------------------------------------
 
 
-def base_extension(qpoly: IntPoly, n: int, method: str = "auto") -> IntPoly:
+def base_extension(qpoly: IntPoly, n: int) -> IntPoly:
     """Monic polynomial whose roots are the n-th powers of the roots of qpoly.
 
-    The power-sum route (Newton identities, p_k of the extension = p_{kn} of
-    the input) is the default; the resultant route Res_y(Q(y), y^n - x) is kept
-    as an independent cross-check for small n.
+    By Newton's identities: the k-th power sum of the extension is the
+    (k*n)-th power sum of the input.
     """
     if not qpoly.is_monic():
         raise ValueError("base extension needs a monic polynomial")
@@ -264,23 +263,8 @@ def base_extension(qpoly: IntPoly, n: int, method: str = "auto") -> IntPoly:
     if n == 1:
         return qpoly
     d = qpoly.degree()
-    if method == "auto":
-        method = "powersum"
-    if method == "powersum":
-        ps = power_sums(qpoly, d * n)
-        return from_power_sums([ps[k * n - 1] for k in range(1, d + 1)], d)
-    if method == "resultant":
-        # Res_y(Q(y), y^n - c) = prod (alpha^n - c) = (-1)^d * Q_n(c); interpolate over c
-        pts = []
-        need = d + 1
-        c = -(need // 2)
-        sign = (-1) ** d
-        for _ in range(need):
-            val = resultant(qpoly, IntPoly([-c] + [0] * (n - 1) + [1]))
-            pts.append((c, sign * val))
-            c += 1
-        return interpolate(pts)
-    raise ValueError(f"unknown method {method!r}")
+    ps = power_sums(qpoly, d * n)
+    return from_power_sums([ps[k * n - 1] for k in range(1, d + 1)], d)
 
 
 def ratio_root_of_unity_free(qpoly: IntPoly, orders: set[int]) -> bool:
@@ -304,11 +288,3 @@ def np_forces_geom_simple(f: IntPoly, ctx: WeilContext) -> bool:
     np_ = newton_polygon(f, ctx)
     want = ((Fraction(1, g), g), (Fraction(g - 1, g), g))
     return np_.segments == want
-
-
-def hondatate_irreducibility_over_Fp(qpoly: IntPoly, ctx: WeilContext) -> bool:
-    """Over a prime field, an irreducible q-Weil polynomial is the Weil polynomial
-    of the corresponding simple variety except for x^2 - p, whose variety has (x^2-p)^2."""
-    if ctx.a != 1:
-        raise ValueError("only prime fields here")
-    return qpoly != IntPoly([-ctx.p, 0, 1])

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from orderone.intpoly import IntPoly
+from orderone.cyclo import cyclotomic_poly
+from orderone.intpoly import IntPoly, interpolate, poly_sqrt, resultant
 from orderone.madanpal import (
     build_record,
     euler_phi,
     is_eisenstein_at,
     madan_pal_poly,
-    madan_pal_poly_cos_route,
     newton_lemma_check,
     pn_at_one_check,
     simple_factor_list,
@@ -37,9 +37,31 @@ def test_simple_factor_list():
     assert simple_factor_list(5) == [madan_pal_poly(5)]
 
 
+def madan_pal_poly_resultant_route(n: int) -> IntPoly:
+    """Independent construction of P_n for n >= 3.
+
+    Res_y(Phi_n(y), y*x^2 - (y^2+4y+1)*x + y) equals P_n(x)^2 because the
+    factors for k and n-k coincide; it is interpolated from its values at
+    deg + 1 integers, and the square root is extracted coefficient by
+    coefficient and verified by squaring.
+    """
+    phi_n = cyclotomic_poly(n)
+    deg = 2 * phi_n.degree()
+    pts = []
+    for c in range(-(deg // 2), deg // 2 + 1):
+        # B(y, c) = -c*y^2 + (c^2 - 4c + 1)*y - c
+        b = IntPoly([-c, c * c - 4 * c + 1, -c])
+        pts.append((c, resultant(phi_n, b)))
+    square = interpolate(pts)
+    if square.lc() < 0:
+        square = -square
+    p = poly_sqrt(square)
+    return -p if p.lc() < 0 else p
+
+
 @pytest.mark.parametrize("n", list(range(3, 70)))
 def test_two_constructions_agree(n):
-    assert madan_pal_poly(n) == madan_pal_poly_cos_route(n)
+    assert madan_pal_poly(n) == madan_pal_poly_resultant_route(n)
 
 
 @pytest.mark.parametrize("n", list(range(1, 101)) + [120, 128, 144, 169, 199, 200])

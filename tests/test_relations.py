@@ -1,10 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import equivariant_sign_flip, random_conjugation_stable_relation
-from orderone.cyclo import root_sum
+from orderone.cyclo import _reduction_table, root_sum
 from orderone.relations import (
     CapacityError,
     Relation,
@@ -13,7 +14,7 @@ from orderone.relations import (
     is_indecomposable,
     lift_is_unique,
     lift_mod2,
-    relation_sum,
+    _vanishing_masks,
 )
 from orderone.roots import ROOT_ONE, RootOfUnity
 
@@ -28,9 +29,9 @@ R5R3 = Relation.make(
 
 
 def test_relation_sum_examples():
-    assert relation_sum(R2).is_zero()
-    assert relation_sum(R3).is_zero()
-    assert not relation_sum(Relation.from_values([r(0, 1), r(1, 5)])).is_zero()
+    assert R2.sum().is_zero()
+    assert R3.sum().is_zero()
+    assert not Relation.from_values([r(0, 1), r(1, 5)]).sum().is_zero()
 
 
 def test_split_convention():
@@ -134,7 +135,7 @@ def test_enumeration_rejects_large_weight():
 def test_enumeration_outputs_are_valid(weight8_classes):
     for cls in weight8_classes:
         rel = cls.representative
-        assert relation_sum(rel).is_zero()
+        assert rel.sum().is_zero()
         assert is_indecomposable(rel)
         # classified relations at this weight have pairwise distinct elements
         values = rel.values()
@@ -169,7 +170,7 @@ def test_lift_matches_brute_force():
         lifts = brute_force_lifts(flipped)
         got = lift_mod2(flipped)
         if lifts:
-            assert got is not None and relation_sum(got).is_zero()
+            assert got is not None and got.sum().is_zero()
         else:
             assert got is None
         assert lift_is_unique(flipped) == (len(lifts) == 1)
@@ -191,6 +192,98 @@ def test_unique_lift_on_table(weight8_classes):
         assert not lift_is_unique(cls.representative.union(R2))
 
 
+def _rel(text: str) -> Relation:
+    """Relation from signed roots such as "0/1 -1/3 2/3"."""
+    return Relation.make(
+        [(RootOfUnity.parse(t.lstrip("-")), -1 if t.startswith("-") else 1) for t in text.split()]
+    )
+
+
+# Relations with several lifts, and the lift the search returns first.
+PINNED_LIFTS = [
+    ("0/1 0/1 0/1 -0/1", "0/1 0/1 -0/1 -0/1"),
+    ("0/1 0/1 0/1 -1/3 2/3", "0/1 -0/1 -0/1 -1/3 -2/3"),
+    ("-0/1 1/3 1/3 1/3 -2/3", "-0/1 1/3 -1/3 -1/3 -2/3"),
+    ("-0/1 -0/1 1/3 1/3 2/3 -2/3", "0/1 -0/1 1/3 -1/3 2/3 -2/3"),
+    (" ".join(["0/1"] * 12), " ".join(["0/1"] * 6 + ["-0/1"] * 6)),
+    ("0/1 1/5 -1/5 2/5 -2/5 -2/5 3/5 4/5 -8/15 13/15",
+     "0/1 1/5 -1/5 2/5 2/5 -2/5 3/5 4/5 -8/15 -13/15"),
+    ("-0/1 -0/1 1/5 1/5 2/5 -2/5 -3/5 -3/5 4/5 4/5",
+     "-0/1 -0/1 -1/5 -1/5 -2/5 -2/5 -3/5 -3/5 -4/5 -4/5"),
+]
+
+
+@pytest.mark.parametrize("given, lifted", PINNED_LIFTS)
+def test_first_lift_is_pinned(given, lifted):
+    rel = _rel(given)
+    assert rel.is_valid(mod2=True)
+    assert lift_mod2(rel) == _rel(lifted)
+    assert lift_is_unique(rel) is False
+
+
+def test_many_lifts_are_not_unique():
+    six_pairs = Relation.make([(ROOT_ONE, 1)] * 12)
+    assert len(brute_force_lifts(six_pairs)) == 462  # C(12, 6) / 2
+    assert lift_is_unique(six_pairs) is False
+
+
+def brute_force_masks(vectors, choices, offset=None):
+    """Every mask whose assignment vanishes, by itertools.product over all of them."""
+    n = len(vectors)
+    bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
+    sums = np.array(choices, dtype=np.int64)[bits] @ np.array(vectors, dtype=np.int64)
+    if offset is not None:
+        sums += np.array(offset, dtype=np.int64)
+    masks = bits @ (1 << np.arange(n, dtype=np.int64))
+    return sorted(masks[~sums.any(axis=1)].tolist())
+
+
+def random_vectors(rng: random.Random, level: int) -> list[tuple[int, ...]]:
+    """Power-basis vectors at the level, shuffled: three of a rotated R3, a
+    rotated R5, the root with the tallest reduction row twice, a random root
+    twice and (at even levels) a root with its negative; a third of the time
+    one more random root, which leaves no vanishing sign assignment."""
+    table = _reduction_table(level)
+    tallest = max(range(level), key=lambda k: max(map(abs, table[k])))
+    shift, k = rng.randrange(level), rng.randrange(level)
+    pieces = [[(shift + j * level // p) % level for j in range(p)] for p in (3, 5)]
+    pieces += [[tallest, tallest], [k, k]]
+    if level % 2 == 0:
+        pieces.append([k, (k + level // 2) % level])
+    ks = [i for piece in rng.sample(pieces, 3) for i in piece]
+    if rng.random() < 1 / 3:
+        ks.append(rng.randrange(level))
+    rng.shuffle(ks)
+    return [table[i] for i in ks]
+
+
+@pytest.mark.parametrize("level, height", [(105, 2), (420, 2), (1155, 9)])
+@pytest.mark.parametrize("choices", [(0, 1), (1, -1)])
+@pytest.mark.parametrize("with_offset", [False, True])
+def test_vanishing_masks_against_brute_force(level, height, choices, with_offset):
+    assert max(abs(x) for row in _reduction_table(level) for x in row) == height
+    rng = random.Random(level * 4 + choices[1] * 2 + with_offset)
+    hits = 0
+    for _ in range(8):
+        vecs = random_vectors(rng, level)
+        offset = vecs.pop(0) if with_offset else None
+        got = list(_vanishing_masks(vecs, choices, offset))
+        assert len(got) == len(set(got))
+        assert sorted(got) == brute_force_masks(vecs, choices, offset)
+        hits += sum(1 for m in got if m)
+    assert hits >= 4  # not only the empty subset
+
+
+def test_vanishing_masks_edges():
+    assert list(_vanishing_masks([], (0, 1))) == [0]
+    assert list(_vanishing_masks([], (1, -1), offset=(1, 0))) == []
+    assert list(_vanishing_masks([(1, 0)], (1, -1), offset=(1, 0))) == [1]
+    # nonzero sums that pack to 0 at too narrow a width: (8, -1) at the width
+    # 3 that the row count alone gives, (4, -1) at the width 2 that M alone gives
+    assert list(_vanishing_masks([(8, 0), (0, -1)], (0, 1))) == [0]
+    assert list(_vanishing_masks([(1, 0)] * 4 + [(0, -1)], (0, 1))) == [0]
+
+
 def test_lift_capacity():
     big = Relation.from_values([r(k, 23) for k in range(21)])
     with pytest.raises(CapacityError):
@@ -209,9 +302,9 @@ def test_anti_equivariant_unique_lift_exists():
     assert is_indecomposable(rel, mod2=True)
     assert lift_is_unique(rel)
     values = rel.values()
-    from orderone.relations import _lift_assignments
+    from orderone.relations import _lifts
 
-    sigma = dict(zip(values, _lift_assignments(values, count_only=False)))
+    sigma = dict(zip(values, next(_lifts(values))))
     assert all(sigma[v.conjugate()] == -sigma[v] for v in values)
     # the conjugation-stable partition still succeeds: the relation is one part
     parts = conjugation_stable_partition(rel, mod2=True)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from orderone.cyclo import CycInt, cyclotomic_poly, root_sum
 from orderone.intpoly import IntPoly
-from orderone.roots import ROOT_ONE, RootOfUnity, root, root_mul
+from orderone.roots import ROOT_ONE, RootOfUnity, root
 
 roots_st = st.builds(
     RootOfUnity.make, st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=24)
@@ -13,9 +13,9 @@ roots_st = st.builds(
 
 
 def test_root_mul_examples():
-    assert root_mul(root(0, 1), root(1, 3)) == root(1, 3)
-    assert root_mul(root(1, 2), root(1, 2)) == root(0, 1)
-    assert root_mul(root(1, 3), root(1, 5)) == root(8, 15)
+    assert root(0, 1) * root(1, 3) == root(1, 3)
+    assert root(1, 2) * root(1, 2) == root(0, 1)
+    assert root(1, 3) * root(1, 5) == root(8, 15)
 
 
 @given(roots_st, roots_st, roots_st)

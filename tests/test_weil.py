@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderone.intpoly import IntPoly
+from orderone.intpoly import IntPoly, interpolate, resultant
 from orderone.weil import (
     F2,
     WeilContext,
     base_extension,
     functional_equation_sign,
-    hondatate_irreducibility_over_Fp,
     is_ordinary,
     is_real_weil,
     newton_polygon,
@@ -94,13 +93,23 @@ def numeric_base_extension(q, n):
     return IntPoly([int(round(c.real)) for c in coeffs[::-1]])
 
 
+def resultant_base_extension(q, n):
+    """Independent exact route: Res_y(Q(y), y^n - c) = prod (alpha^n - c) = (-1)^d * Q_n(c),
+    interpolated over d + 1 integers c."""
+    d = q.degree()
+    pts = []
+    for c in range(-((d + 1) // 2), d + 1 - (d + 1) // 2):
+        pts.append((c, (-1) ** d * resultant(q, IntPoly([-c] + [0] * (n - 1) + [1]))))
+    return interpolate(pts)
+
+
 @pytest.mark.parametrize("n", list(range(1, 9)))
 @pytest.mark.parametrize(
     "q", [IntPoly([2, -2, 1]), IntPoly([-2, 0, 1]), IntPoly([4, -6, 5, -3, 1])]
 )
 def test_base_extension_three_routes(q, n):
-    got = base_extension(q, n, "powersum")
-    assert got == base_extension(q, n, "resultant")
+    got = base_extension(q, n)
+    assert got == resultant_base_extension(q, n)
     if q.degree() * n <= 12:
         assert got == numeric_base_extension(q, n)
 
@@ -134,12 +143,6 @@ def test_np_forces_geom_simple():
     assert np_forces_geom_simple(w8, F2)
     assert not np_forces_geom_simple(IntPoly([4, 0, -4, 0, 1]), F2)  # g = 2
     assert not np_forces_geom_simple(IntPoly([4, -6, 5, -3, 1]), F2)  # ordinary
-
-
-def test_hondatate_prime_field():
-    assert hondatate_irreducibility_over_Fp(IntPoly([-2, 0, 1]), F2) is False
-    assert hondatate_irreducibility_over_Fp(IntPoly([2, -2, 1]), F2) is True
-    assert hondatate_irreducibility_over_Fp(IntPoly([4, -6, 5, -3, 1]), F2) is True
 
 
 def test_real_and_weil_polygon_slopes_agree_below_half():
