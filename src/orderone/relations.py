@@ -350,8 +350,12 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def enumerate_indecomposable(max_weight: int) -> list[RelationClass]:
-    """All rotation classes of indecomposable relations of weight <= max_weight."""
+@lru_cache(maxsize=8)
+def enumerate_indecomposable(max_weight: int) -> tuple[RelationClass, ...]:
+    """All rotation classes of indecomposable relations of weight <= max_weight.
+
+    Memoized per weight bound, one entry for each of 1..8; the tuple and its
+    frozen classes are shared by every caller."""
     if not 1 <= max_weight <= 8:
         raise CapacityError("enumeration is supported up to weight 8")
     seen: dict[tuple, RelationClass] = {}
@@ -367,7 +371,7 @@ def enumerate_indecomposable(max_weight: int) -> list[RelationClass]:
                 key = tuple(_entry_key(e) for e in canon.entries)
                 if key not in seen:
                     seen[key] = RelationClass.of(canon)
-    return sorted(seen.values(), key=lambda c: (c.representative.weight, tuple(_entry_key(e) for e in c.representative.entries)))
+    return tuple(sorted(seen.values(), key=lambda c: (c.representative.weight, tuple(_entry_key(e) for e in c.representative.entries))))
 
 
 def _prime_factors(n: int) -> list[int]:

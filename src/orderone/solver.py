@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclo import CycInt, cyclotomic_poly, root_sum
 from .intpoly import IntPoly
-from .madanpal import build_record, euler_phi
+from .madanpal import build_record
 from .roots import RootOfUnity
 
 Term = tuple[int, tuple[int, int, int]]  # coefficient, exponents of z1, z2, z3
@@ -86,10 +86,11 @@ class LaurentExpr:
         return LaurentExpr.make(out)
 
     def eval_at(self, t: "SolutionTriple") -> CycInt:
-        parts = []
-        for e, c in self.terms:
-            r = (t.eta1 ** e[0]) * (t.eta2 ** e[1]) * (t.eta3 ** e[2])
-            parts.append((c, r))
+        m, ks = _exponents(t)
+        parts = [
+            (c, RootOfUnity.make(e[0] * ks[0] + e[1] * ks[1] + e[2] * ks[2], m))
+            for e, c in self.terms
+        ]
         return root_sum(parts) if parts else CycInt.zero()
 
     def __repr__(self):
@@ -149,14 +150,18 @@ def apply_symmetry(k: int, obj):
     if isinstance(obj, LaurentExpr):
         return obj.substitute(images)
     if isinstance(obj, SolutionTriple):
-        if k == 0:
-            return SolutionTriple(obj.eta1.inverse(), obj.eta2.inverse(), obj.eta3.inverse())
-        if k == 1:
-            return SolutionTriple(obj.eta2, obj.eta1, obj.eta3)
-        return SolutionTriple(
-            obj.eta1, obj.eta2.inverse(), (obj.eta1 * obj.eta3.inverse()).negated()
-        )
+        m, ks = _exponents(obj)
+        return _from_exponents(m, _act(k, m, ks))
     raise TypeError(f"cannot apply symmetry to {type(obj)!r}")
+
+
+def _act(k: int, m: int, ks: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The k-th generator on the point (e^(2 pi i k_j / m))_j, m even, as
+    exponents over m: a sign -1 is e^(2 pi i (m/2) / m)."""
+    return tuple(
+        ((m // 2 if sign < 0 else 0) + e[0] * ks[0] + e[1] * ks[1] + e[2] * ks[2]) % m
+        for sign, e in GENERATORS[k]
+    )
 
 
 def candidate_h_set() -> list[LaurentExpr]:
@@ -253,6 +258,17 @@ class SolutionTriple:
         return math.lcm(*self.orders())
 
 
+def _exponents(t: SolutionTriple) -> tuple[int, tuple[int, int, int]]:
+    """(m, (k1, k2, k3)) with eta_j = e^(2 pi i k_j / m) and m = lcm(2, orders),
+    so that every image of t under the generators has exponents over m too."""
+    m = math.lcm(2, *t.orders())
+    return m, tuple(r.num * (m // r.den) for r in (t.eta1, t.eta2, t.eta3))
+
+
+def _from_exponents(m: int, ks: tuple[int, int, int]) -> SolutionTriple:
+    return SolutionTriple(*(RootOfUnity.make(k, m) for k in ks))
+
+
 @dataclass(frozen=True, order=True)
 class SolutionPattern:
     order1: int
@@ -269,76 +285,134 @@ def is_solution(t: SolutionTriple) -> bool:
     return eval_g(t).is_zero()
 
 
-def _primitive_residues(n: int) -> list[int]:
-    return [k for k in range(n) if math.gcd(k, n) == 1] if n > 1 else [0]
+@lru_cache(maxsize=1024)
+def _primitive_residues(n: int) -> tuple[int, ...]:
+    return tuple(k for k in range(n) if math.gcd(k, n) == 1) if n > 1 else (0,)
 
 
-def _float_zero_mask(a: int, b: int, c: int, k1s, k2s, k3s) -> np.ndarray:
-    t1 = np.exp(2j * np.pi * np.asarray(k1s, dtype=float)[:, None, None] / a)
-    t2 = np.exp(2j * np.pi * np.asarray(k2s, dtype=float)[None, :, None] / b)
-    t3 = np.exp(2j * np.pi * np.asarray(k3s, dtype=float)[None, None, :] / c)
-    g = (
-        t1 + 1 / t1 + t2 + 1 / t2 + t3 + 1 / t3
-        - t1 / t3 - t3 / t1 - t2 / t3 - t3 / t2
-        + t1 * t2 / t3 + t3 / (t1 * t2)
-        - 2 * t1 * t2 / t3 ** 2 - 2 * t3 ** 2 / (t1 * t2)
-    )
-    return np.abs(g) < 1e-8
+@lru_cache(maxsize=1024)
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(2 pi i k / n) for the primitive residues k of n, in their order."""
+    roots = np.exp(2j * np.pi * np.asarray(_primitive_residues(n), dtype=float) / n)
+    roots.flags.writeable = False
+    return roots
 
 
-def _solve_one_order_triple(args) -> list[tuple[int, int, int, int, int, int]]:
-    a, b, c = args
-    k1s = [k for k in _primitive_residues(a) if 2 * k <= a]
+# The float prefilter keeps a grid point when |g| < PREFILTER_TOLERANCE, and
+# every point it keeps is confirmed by is_solution, so it only has to be
+# one-sided: a true zero must never be dropped.  On the unit torus the 14
+# terms of g pair off into complex conjugates, so with x, y, z = eta1, eta2,
+# eta3 and w = 1/z = conj(z),
+#     g/2 = Re[(x + y)(1 - w) + xy(w - 2 w^2) + z],
+# which the prefilter evaluates as a 5-term real dot product of the rows
+# (Re P, -Im P, Re Q, -Im Q, 1), P = x + y, Q = xy, with the columns
+# (Re A, Im A, Re B, Im B, Re z), A = 1 - w, B = w - 2 w^2.
+# Error bound, with u = 2^-53: the argument 2 pi k / n is rounded three
+# times and exp adds about an ulp, so each unit root is within d = 32u of
+# the true one.  Then |dP| <= 2d + 4u, |dQ| <= 2d + 3u, |dA| <= d + 4u,
+# |dB| <= 5d + 12u, and with |P|, |A| <= 2, |Q| = 1, |B| <= 3 the inputs
+# move g/2 by at most 18d + 37u.  The dot product's absolute terms sum to at
+# most |P||A| + |Q||B| + 1 <= 8, so its 5-term rounding adds at most 40u.
+# Hence |float g - g| <= 2 (18d + 77u) < 1.5e-13 = PREFILTER_ERROR_BOUND,
+# and a true zero reads five orders of magnitude below the tolerance.
+# Measured over every order triple of (46, 46, 244): |g| is at most 9.2e-15
+# at a zero and at least 1.0e-6 at a non-zero, so the tolerance keeps no
+# false candidate there either.
+PREFILTER_TOLERANCE = 1e-8
+PREFILTER_ERROR_BOUND = 2 * (18 * 32 + 77) * 2.0 ** -53
+# grid points per float block, so a large order pair is filtered in slices of
+# eta3 columns (2 MB of float64) and not in one array of any size
+PREFILTER_BLOCK = 1 << 18
+
+
+@lru_cache(maxsize=1024)
+def _eta3_columns(c: int) -> np.ndarray:
+    """The (5, phi(c)) prefilter columns of the primitive c-th roots z."""
+    z = _unit_roots(c)
+    w = z.conj()
+    big_a = 1 - w
+    big_b = w - 2 * w * w
+    cols = np.stack([big_a.real, big_a.imag, big_b.real, big_b.imag, z.real])
+    cols.flags.writeable = False
+    return cols
+
+
+def _order_pair_rows(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Prefilter rows for eta1 of order a in the lower half of its inversion
+    orbit (row-major) against eta2 of order b, and the k1, k2 they stand for."""
     k2s = _primitive_residues(b)
-    k3s = _primitive_residues(c)
-    mask = _float_zero_mask(a, b, c, k1s, k2s, k3s)
+    k1s = tuple(k for k in _primitive_residues(a) if 2 * k <= a)  # a prefix: residues ascend
+    x = _unit_roots(a)[: len(k1s), None]
+    y = _unit_roots(b)[None, :]
+    p = (x + y).ravel()
+    q = (x * y).ravel()
+    return np.stack([p.real, -p.imag, q.real, -q.imag, np.ones(p.size)], axis=1), k1s, k2s
+
+
+def _solve_order_pair(task) -> list[tuple[int, int, int, int, int, int]]:
+    """Confirmed zeros (a, k1, b, k2, c, k3) for one order pair (a, b) and
+    every eta3 order c in the task, prefiltered on one float grid whose
+    columns are the primitive roots of all those c, in blocks of at most
+    PREFILTER_BLOCK points."""
+    a, b, cs = task
+    rows, k1s, k2s = _order_pair_rows(a, b)
+    cols = np.concatenate([_eta3_columns(c) for c in cs], axis=1)
+    sizes = [len(_primitive_residues(c)) for c in cs]
+    ends = np.cumsum(sizes)
+    width = max(1, PREFILTER_BLOCK // len(rows))
     out = []
-    for i, j, l in zip(*np.nonzero(mask)):
-        t = SolutionTriple(
-            RootOfUnity.make(k1s[i], a), RootOfUnity.make(k2s[j], b), RootOfUnity.make(k3s[l], c)
-        )
-        if is_solution(t):
-            out.append((a, k1s[i], b, k2s[j], c, k3s[l]))
+    for start in range(0, cols.shape[1], width):
+        half_g = rows @ cols[:, start : start + width]
+        for row, col in zip(*np.nonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2)):
+            col = int(col) + start
+            i = int(np.searchsorted(ends, col, side="right"))
+            c = cs[i]
+            k1, k2 = k1s[row // len(k2s)], k2s[row % len(k2s)]
+            k3 = _primitive_residues(c)[col - ends[i] + sizes[i]]
+            t = SolutionTriple(RootOfUnity.make(k1, a), RootOfUnity.make(k2, b), RootOfUnity.make(k3, c))
+            if is_solution(t):
+                out.append((a, k1, b, k2, c, k3))
     return out
+
+
+def _order_pair_tasks(max_order_12: int, max_order_3: int, max_level: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(a, b, cs) for every order pair a <= b <= max_order_12, with cs every
+    eta3 order c <= max_order_3 for which lcm(a, b, c) <= max_level."""
+    tasks = []
+    for a in range(1, max_order_12 + 1):
+        for b in range(a, max_order_12 + 1):
+            lab = math.lcm(a, b)
+            cs = tuple(c for c in range(1, max_order_3 + 1) if math.lcm(lab, c) <= max_level)
+            if cs:
+                tasks.append((a, b, cs))
+    return tasks
 
 
 def solve_bounded(
     max_order_12: int,
     max_order_3: int,
     max_level: int,
-    force_large_levels: bool = False,
     workers: int = 1,
 ) -> list[SolutionTriple]:
     """All solutions with order(eta1), order(eta2) <= max_order_12,
     order(eta3) <= max_order_3, and lcm of the three orders <= max_level.
 
-    Enumerates order triples with order(eta1) <= order(eta2) and eta1 in the
-    lower half of its inversion orbit, then re-expands by the inversion and
-    swap symmetries.  Order triples whose level has phi(level) > 64 are
-    skipped unless force_large_levels is set.
+    The search is complete within these bounds.  It covers every order
+    triple with order(eta1) <= order(eta2), eta1 in the lower half of its
+    inversion orbit, and then re-expands by the inversion and swap
+    symmetries.  Each order pair (a, b) is one task: a float prefilter over
+    all its eta3 orders, then exact confirmation of every candidate.
     """
     if min(max_order_12, max_order_3, max_level) < 1:
         raise ValueError("bounds must be positive")
-    tasks = []
-    for a in range(1, max_order_12 + 1):
-        for b in range(a, max_order_12 + 1):
-            lab = math.lcm(a, b)
-            if lab > max_level:
-                continue
-            for c in range(1, max_order_3 + 1):
-                level = math.lcm(lab, c)
-                if level > max_level:
-                    continue
-                if euler_phi(level) > 64 and not force_large_levels:
-                    continue
-                tasks.append((a, b, c))
+    tasks = _order_pair_tasks(max_order_12, max_order_3, max_level)
     if workers > 1:
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            chunks = pool.map(_solve_one_order_triple, tasks)
+            chunks = pool.map(_solve_order_pair, tasks)
     else:
-        chunks = [_solve_one_order_triple(t) for t in tasks]
+        chunks = [_solve_order_pair(t) for t in tasks]
     found = set()
     for chunk in chunks:
         for a, k1, b, k2, c, k3 in chunk:
@@ -351,56 +425,73 @@ def solve_bounded(
                 apply_symmetry(1, base),
                 apply_symmetry(0, apply_symmetry(1, base)),
             ]
-            for t in images:
-                if (
-                    t.eta1.order <= max_order_12
-                    and t.eta2.order <= max_order_12
-                    and t.eta3.order <= max_order_3
-                    and t.level() <= max_level
-                ):
-                    found.add(t)
+            found.update(t for t in images if _within(t, max_order_12, max_order_3, max_level))
     return sorted(found)
+
+
+def _within(t: SolutionTriple, max_order_12: int, max_order_3: int, max_level: int) -> bool:
+    return (
+        t.eta1.order <= max_order_12
+        and t.eta2.order <= max_order_12
+        and t.eta3.order <= max_order_3
+        and t.level() <= max_level
+    )
 
 
 # -- classification ------------------------------------------------------------
 
 
 def _orbit(t: SolutionTriple, cap: int = 50000) -> set[SolutionTriple]:
-    seen = {t}
-    frontier = [t]
+    """The symmetry orbit of t, walked on exponent vectors over one modulus."""
+    m, start = _exponents(t)
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
             for k in range(3):
-                img = apply_symmetry(k, s)
+                img = _act(k, m, s)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
         if len(seen) > cap:
             raise ArithmeticError("symmetry orbit unexpectedly large")
-    return seen
+    return {_from_exponents(m, ks) for ks in seen}
+
+
+def _orbit_verdicts(sols) -> dict[SolutionTriple, bool]:
+    """is_parametric for every member of the orbit of each of sols, walking
+    each orbit once."""
+    verdicts: dict[SolutionTriple, bool] = {}
+    for t in sols:
+        if t not in verdicts:
+            orbit = _orbit(t)
+            parametric = any(s.eta1 == s.eta2 and s.eta3 == s.eta1.negated() for s in orbit)
+            verdicts.update(dict.fromkeys(orbit, parametric))
+    return verdicts
 
 
 def is_parametric(t: SolutionTriple) -> bool:
     """True iff t lies in the symmetry orbit of some (zeta, zeta, -zeta)."""
-    return any(
-        s.eta1 == s.eta2 and s.eta3 == s.eta1.negated() for s in _orbit(t)
-    )
+    return _orbit_verdicts((t,))[t]
 
 
-def classify_solutions(sols) -> list[SolutionPattern]:
+def classify_solutions(sols, verdicts: dict[SolutionTriple, bool] | None = None) -> list[SolutionPattern]:
     """Group solutions into parametric members and sporadic order patterns.
 
     Order signatures are normalized by the swap symmetry only:
     order1 <= order2, with the full set of eta3 orders per (order1, order2).
+    verdicts, when given, holds is_parametric of every solution.
     """
+    if verdicts is None:
+        verdicts = _orbit_verdicts(sols)
     sporadic: dict[tuple[int, int], set[int]] = {}
     parametric: dict[tuple[int, int], set[int]] = {}
     for t in sols:
         a, b, c = t.orders()
         key = (min(a, b), max(a, b))
-        bucket = parametric if is_parametric(t) else sporadic
+        bucket = parametric if verdicts[t] else sporadic
         bucket.setdefault(key, set()).add(c)
     out = []
     for (a, b), cs in sorted(parametric.items()):
@@ -428,20 +519,16 @@ SPORADIC_ORDER_PATTERNS: tuple[SolutionPattern, ...] = (
 def expected_parametric(max_order_12: int, max_order_3: int, max_level: int) -> set[SolutionTriple]:
     """The symmetry orbit of the one-parameter family (zeta, zeta, -zeta) within bounds."""
     out: set[SolutionTriple] = set()
+    walked: set[SolutionTriple] = set()
     for n in range(1, 2 * max(max_order_12, max_order_3) + 1):
         for k in _primitive_residues(n):
             zeta = RootOfUnity.make(k, n)
             seed = SolutionTriple(zeta, zeta, zeta.negated())
-            if seed in out:
+            if seed in walked:
                 continue
-            for t in _orbit(seed):
-                if (
-                    t.eta1.order <= max_order_12
-                    and t.eta2.order <= max_order_12
-                    and t.eta3.order <= max_order_3
-                    and t.level() <= max_level
-                ):
-                    out.add(t)
+            orbit = _orbit(seed)
+            walked |= orbit
+            out.update(t for t in orbit if _within(t, max_order_12, max_order_3, max_level))
     return out
 
 
@@ -450,9 +537,10 @@ def verify_table2(
 ) -> dict:
     """Recompute the sporadic order patterns and the parametric locus within bounds."""
     sols = solve_bounded(max_order_12, max_order_3, max_level, workers=workers)
-    patterns = classify_solutions(sols)
+    verdicts = _orbit_verdicts(sols)
+    patterns = classify_solutions(sols, verdicts)
     sporadic = tuple(p for p in patterns if p.kind == "sporadic")
-    found_parametric = {t for t in sols if is_parametric(t)}
+    found_parametric = {t for t in sols if verdicts[t]}
     want_parametric = expected_parametric(max_order_12, max_order_3, max_level)
     ok_sporadic = sporadic == SPORADIC_ORDER_PATTERNS
     ok_parametric = found_parametric == want_parametric

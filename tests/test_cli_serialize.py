@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from orderone import serialize
 from orderone.geometry import build_reports
@@ -84,6 +87,28 @@ def test_cache_detects_corruption(tmp_path):
     v3 = serialize.cache_get_or_compute("k", compute, tmp_path)
     assert v3 == {"x": 1}
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (
+            ["solve-g", "--max-order12", "32", "--max-order3", "32", "--max-level", "120"],
+            "3f145f1bf09174c8a19788a7eb40e89a1d9a12a2f73870022d79c3a4fff1b6ed",
+        ),
+        (["verify-table2"], "3a8ea9b4f640451688c835b0abfbf0fcec43894a103abecdffd9d87068ee616b"),
+    ],
+)
+def test_cli_solver_stdout_is_pinned(tmp_path, args, sha256):
+    """Byte-for-byte stdout of the solver subcommands at the paper's bounds,
+    on a fresh cache and again from the cache."""
+    for _ in range(2):
+        res = subprocess.run(
+            [sys.executable, "-m", "orderone", "--cache-dir", str(tmp_path), *args],
+            capture_output=True,
+        )
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == sha256
 
 
 def run_cli(args, tmp_path):

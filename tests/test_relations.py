@@ -127,6 +127,13 @@ def test_enumeration_smallest_cases():
     assert [c.type_label for c in enumerate_indecomposable(5)] == ["R2", "R3", "R5"]
 
 
+def test_enumeration_is_one_shared_immutable_table(weight8_classes):
+    assert enumerate_indecomposable(8) is weight8_classes
+    assert isinstance(weight8_classes, tuple)
+    with pytest.raises(AttributeError):
+        weight8_classes.append(weight8_classes[0])
+
+
 def test_enumeration_rejects_large_weight():
     with pytest.raises(CapacityError):
         enumerate_indecomposable(9)

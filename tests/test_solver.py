@@ -1,16 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 
+from orderone import solver
+from orderone.cyclo import root_sum
+from orderone.madanpal import euler_phi
 from orderone.relations import Relation, conjugation_stable_partition
 from orderone.roots import RootOfUnity
 from orderone.solver import (
+    PREFILTER_ERROR_BOUND,
+    PREFILTER_TOLERANCE,
     SPORADIC_ORDER_PATTERNS,
     SolutionTriple,
     apply_symmetry,
     candidate_h_set,
     classify_solutions,
     eigenvalue_resultant_identity,
+    eval_g,
     expected_parametric,
     g_expr,
     is_parametric,
@@ -217,6 +224,198 @@ def test_expected_parametric_matches_found():
 
 
 def test_workers_do_not_change_results():
+    assert len(solver._order_pair_tasks(6, 6, 24)) == 20  # one task per order pair
     a = solve_bounded(6, 6, 24, workers=1)
     b = solve_bounded(6, 6, 24, workers=2)
     assert a == b
+
+
+# -- reference routes ------------------------------------------------------------
+# Independent slow versions of the solver's fast paths: the per-order-triple
+# float mask of the direct 14-term formula, the hand-written action of the
+# generators on triples, the orbit walk per solution, and the per-seed
+# expected_parametric loop.  The library must agree with them exactly.
+
+
+def primitive(n):
+    return [k for k in range(n) if math.gcd(k, n) == 1] if n > 1 else [0]
+
+
+def per_triple_float_zero_mask(a, b, c, k1s, k2s, k3s):
+    t1 = np.exp(2j * np.pi * np.asarray(k1s, dtype=float)[:, None, None] / a)
+    t2 = np.exp(2j * np.pi * np.asarray(k2s, dtype=float)[None, :, None] / b)
+    t3 = np.exp(2j * np.pi * np.asarray(k3s, dtype=float)[None, None, :] / c)
+    g = (
+        t1 + 1 / t1 + t2 + 1 / t2 + t3 + 1 / t3
+        - t1 / t3 - t3 / t1 - t2 / t3 - t3 / t2
+        + t1 * t2 / t3 + t3 / (t1 * t2)
+        - 2 * t1 * t2 / t3 ** 2 - 2 * t3 ** 2 / (t1 * t2)
+    )
+    return np.abs(g) < 1e-8
+
+
+def per_triple_candidates(a, b, c):
+    k1s = [k for k in primitive(a) if 2 * k <= a]
+    k2s, k3s = primitive(b), primitive(c)
+    mask = per_triple_float_zero_mask(a, b, c, k1s, k2s, k3s)
+    return {(a, k1s[i], b, k2s[j], c, k3s[l]) for i, j, l in zip(*np.nonzero(mask))}
+
+
+def hand_action(k, t):
+    if k == 0:
+        return SolutionTriple(t.eta1.inverse(), t.eta2.inverse(), t.eta3.inverse())
+    if k == 1:
+        return SolutionTriple(t.eta2, t.eta1, t.eta3)
+    return SolutionTriple(t.eta1, t.eta2.inverse(), (t.eta1 * t.eta3.inverse()).negated())
+
+
+def hand_orbit(t):
+    seen, frontier = {t}, [t]
+    while frontier:
+        frontier = [img for s in frontier for img in (hand_action(k, s) for k in range(3)) if img not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def per_solution_is_parametric(t):
+    return any(s.eta1 == s.eta2 and s.eta3 == s.eta1.negated() for s in hand_orbit(t))
+
+
+def within(t, max12, max3, maxlevel):
+    return t.eta1.order <= max12 and t.eta2.order <= max12 and t.eta3.order <= max3 and t.level() <= maxlevel
+
+
+def per_seed_expected_parametric(max12, max3, maxlevel):
+    out = set()
+    for n in range(1, 2 * max(max12, max3) + 1):
+        for k in primitive(n):
+            zeta = r(k, n)
+            seed = SolutionTriple(zeta, zeta, zeta.negated())
+            if seed in out:
+                continue
+            out.update(t for t in hand_orbit(seed) if within(t, max12, max3, maxlevel))
+    return out
+
+
+def per_triple_solve(max12, max3, maxlevel):
+    found = set()
+    for a in range(1, max12 + 1):
+        for b in range(a, max12 + 1):
+            for c in range(1, max3 + 1):
+                if math.lcm(a, b, c) > maxlevel:
+                    continue
+                for _, k1, _, k2, _, k3 in per_triple_candidates(a, b, c):
+                    t = SolutionTriple(r(k1, a), r(k2, b), r(k3, c))
+                    if is_solution(t):
+                        swapped = hand_action(1, t)
+                        images = (t, hand_action(0, t), swapped, hand_action(0, swapped))
+                        found.update(s for s in images if within(s, max12, max3, maxlevel))
+    return sorted(found)
+
+
+def power_route_eval_g(t):
+    parts = [(c, (t.eta1 ** e[0]) * (t.eta2 ** e[1]) * (t.eta3 ** e[2])) for e, c in g_expr().terms]
+    return root_sum(parts)
+
+
+def small_box_triples(max_order):
+    return [
+        SolutionTriple(r(k1, a), r(k2, b), r(k3, c))
+        for a in range(1, max_order + 1)
+        for b in range(1, max_order + 1)
+        for c in range(1, max_order + 1)
+        for k1 in primitive(a)
+        for k2 in primitive(b)
+        for k3 in primitive(c)
+    ]
+
+
+def test_generator_action_on_triples_matches_hand_formulas():
+    triples = small_box_triples(7)
+    assert len(triples) == 18 ** 3
+    for t in triples:
+        for k in range(3):
+            assert apply_symmetry(k, t) == hand_action(k, t), (k, t)
+
+
+def test_eval_g_matches_power_route():
+    for t in small_box_triples(5):
+        assert eval_g(t) == power_route_eval_g(t), t
+
+
+@pytest.mark.parametrize("block", [solver.PREFILTER_BLOCK, 7])
+def test_batched_prefilter_candidates_match_per_triple_masks(monkeypatch, block):
+    """Every order triple of (12, 12, 60): the points the batched pair grid
+    sends to the exact check are those of the per-triple masks, also when the
+    grid is cut into blocks that split the columns of one eta3 order."""
+    candidates = []
+
+    def recording_is_solution(t):
+        candidates.append(t)
+        return is_solution(t)
+
+    monkeypatch.setattr(solver, "is_solution", recording_is_solution)
+    monkeypatch.setattr(solver, "PREFILTER_BLOCK", block)
+    tasks = solver._order_pair_tasks(12, 12, 60)
+    want = set()
+    for a, b, cs in tasks:
+        for c in cs:
+            want |= per_triple_candidates(a, b, c)
+        solver._solve_order_pair((a, b, cs))
+    got = {(t.eta1.order, t.eta1.num, t.eta2.order, t.eta2.num, t.eta3.order, t.eta3.num) for t in candidates}
+    assert len(got) == len(candidates)
+    assert sum(len(cs) for _, _, cs in tasks) == 568
+    assert got == want
+
+
+def test_task_list_includes_levels_with_large_totient():
+    """No order triple inside the bounds is skipped: 91 = lcm(7, 13) has phi 72."""
+    tasks = solver._order_pair_tasks(32, 32, 120)
+    levels = {math.lcm(a, b, c) for a, b, cs in tasks for c in cs}
+    assert {91, 95, 115, 117, 119} <= levels
+    assert euler_phi(91) == 72
+    assert (7, 13) in {(a, b) for a, b, cs in tasks if 1 in cs}
+    want = {
+        (a, b, c)
+        for a in range(1, 33)
+        for b in range(a, 33)
+        for c in range(1, 33)
+        if math.lcm(a, b, c) <= 120
+    }
+    assert {(a, b, c) for a, b, cs in tasks for c in cs} == want
+
+
+def test_prefilter_margin_at_confirmed_solutions():
+    """The float |g| the prefilter reads at every confirmed solution of
+    (32, 32, 120) is inside the derived error bound, far below the tolerance."""
+    assert PREFILTER_ERROR_BOUND < 1e-12 < PREFILTER_TOLERANCE
+    grids = {}
+    worst, checked = 0.0, 0
+    for t in solve_bounded(32, 32, 120):
+        (a, k1), (b, k2), (c, k3) = ((e.order, e.num) for e in (t.eta1, t.eta2, t.eta3))
+        if a > b or 2 * k1 > a:
+            continue  # only the canonical half reaches the prefilter
+        if (a, b, c) not in grids:
+            rows, k1s, k2s = solver._order_pair_rows(a, b)
+            values = 2 * np.abs(rows @ solver._eta3_columns(c))
+            grids[a, b, c] = values.reshape(len(k1s), len(k2s), -1), k1s, k2s
+        values, k1s, k2s = grids[a, b, c]
+        worst = max(worst, values[k1s.index(k1), k2s.index(k2), primitive(c).index(k3)])
+        checked += 1
+    assert checked > 150
+    assert worst < PREFILTER_ERROR_BOUND
+
+
+@pytest.mark.parametrize("box", [(32, 32, 120), (46, 46, 244)])
+def test_fast_paths_match_reference_routes(box):
+    sols = solve_bounded(*box)
+    assert sols == per_triple_solve(*box)
+    parametric = {t for t in sols if per_solution_is_parametric(t)}
+    verdicts = {t: t in parametric for t in sols}
+    assert classify_solutions(sols) == classify_solutions(sols, verdicts)
+    assert {t for t, v in solver._orbit_verdicts(sols).items() if v and t in verdicts} == parametric
+    assert expected_parametric(*box) == per_seed_expected_parametric(*box)
+    result = verify_table2(*box)
+    assert result["solutions"] == sols
+    assert result["patterns"] == classify_solutions(sols, verdicts)
+    assert result["parametric_ok"] == (parametric == per_seed_expected_parametric(*box))
