@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import geometry, madanpal, relations, serialize, solver
+from .arith import factorize
 from .weil import (
     WeilContext,
     base_extension,
@@ -103,19 +104,12 @@ def _cmd_weil(cfg: RunConfig) -> int:
 
 
 def _context_for_q(q: int) -> WeilContext:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            a = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                a += 1
-            if m != 1:
-                raise SystemExit(EXIT_USAGE)
-            return WeilContext(p, a)
-        p += 1
-    return WeilContext(q, 1)
+    # q < 2 reaches WeilContext, which rejects it with a message
+    factors = factorize(q) if q > 1 else {q: 1}
+    if len(factors) != 1:
+        raise SystemExit(EXIT_USAGE)
+    ((p, a),) = factors.items()
+    return WeilContext(p, a)
 
 
 def _cmd_solve_g(cfg: RunConfig) -> int:

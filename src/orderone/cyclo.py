@@ -8,24 +8,37 @@ All values are immutable; every operation is pure.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import factorize
 from .intpoly import IntPoly
 from .roots import RootOfUnity
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1 by lower ones."""
+    """The n-th cyclotomic polynomial, prod over squarefree s | n of
+    (x^(n/s) - 1)^mu(s): the factors with mu(s) = 1 are multiplied out, then
+    each with mu(s) = -1 is divided out exactly."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly = IntPoly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_div(cyclotomic_poly(d))
-    return poly
+    primes = list(factorize(n))
+    up, down = [], []
+    for size in range(len(primes) + 1):
+        for s in itertools.combinations(primes, size):
+            (down if size % 2 else up).append(n // math.prod(s))
+    c = [1]
+    for k in up:  # c * (x^k - 1)
+        c = [(c[i - k] if i >= k else 0) - (c[i] if i < len(c) else 0) for i in range(len(c) + k)]
+    for k in down:  # c = q * (x^k - 1), so q_i = q_(i-k) - c_i
+        q = [0] * (len(c) - k)
+        for i in range(len(q)):
+            q[i] = (q[i - k] if i >= k else 0) - c[i]
+        c = q
+    return IntPoly(c)
 
 
 @lru_cache(maxsize=None)
@@ -33,21 +46,17 @@ def _reduction_table(level: int) -> tuple[tuple[int, ...], ...]:
     """Row k: coordinates of zeta^k on the power basis zeta^0..zeta^(phi-1), for k < level."""
     phi_poly = cyclotomic_poly(level)
     phi = phi_poly.degree()
-    rows = []
-    for k in range(phi):
-        rows.append(tuple(1 if i == k else 0 for i in range(phi)))
-    # iterate x^k = x * x^(k-1) mod Phi_level
-    prev = list(rows[phi - 1]) if phi > 0 else []
+    rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
+    # iterate x^k = x * x^(k-1) mod Phi_level; with no carry it is a plain shift
+    prev = rows[-1]
     for _ in range(phi, level):
-        nxt = [0] + prev[:-1] if phi > 1 else [0] * phi
-        if phi == 1:
-            nxt = [0]
-        carry = prev[-1] if phi >= 1 else 0
+        nxt = [0, *prev[:-1]]
+        carry = prev[-1]
         if carry:
             for i in range(phi):
                 nxt[i] -= carry * phi_poly[i]
-        rows.append(tuple(nxt))
-        prev = list(nxt)
+        prev = tuple(nxt)
+        rows.append(prev)
     return tuple(rows)
 
 
@@ -149,8 +158,7 @@ class CycInt:
     def reduced(self) -> tuple[int, ...]:
         """Coordinates on the power basis zeta^0..zeta^(phi(N)-1), reduced mod Phi_N."""
         table = _reduction_table(self.level)
-        phi = len(table[0]) if self.level > 1 else 1
-        out = [0] * phi
+        out = [0] * len(table[0])
         for k, a in enumerate(self.coeffs):
             if a:
                 row = table[k]

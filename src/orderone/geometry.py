@@ -33,25 +33,22 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import divisors
 from .cyclo import cyclotomic_poly
 from .intpoly import IntPoly, from_power_sums, power_sums
 from .madanpal import build_record
-from .weil import F2, WeilContext, is_ordinary, np_forces_geom_simple, radical, real_to_weil
+from .weil import (
+    F2,
+    WeilContext,
+    base_extension,
+    is_ordinary,
+    np_forces_geom_simple,
+    radical,
+    real_to_weil,
+)
 
 # primes below 2^25: an int64 power-sum table stays exact up to degree 8191
 PROFILE_PRIMES = (33554393, 33554383, 33554371)
-
-
-def divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def default_m_set(n: int | None = None) -> list[int]:
@@ -143,43 +140,21 @@ def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
 # -- exact verification at a chosen extension degree ---------------------------
 
 
-_POWER_SUM_CACHE: dict = {}
-
-
-def _exact_power_sums(q0: IntPoly, count: int) -> list[int]:
-    """Power sums of q0, grown on demand and shared across extension degrees."""
-    cached = _POWER_SUM_CACHE.get(q0)
-    if cached is None or len(cached) < count:
-        cached = power_sums(q0, count)
-        _POWER_SUM_CACHE[q0] = cached
-    return cached
-
-
-def _exact_extension(q0: IntPoly, m: int) -> IntPoly:
-    d = q0.degree()
-    ps = _exact_power_sums(q0, d * m)
-    return from_power_sums([ps[k * m - 1] for k in range(1, d + 1)], d)
-
-
-def _exact_drop(q0: IntPoly, m: int) -> tuple[int, IntPoly]:
-    """(raw degree drop, radical) of the m-th base extension, exactly.
+def _exact_drop(q0: IntPoly, m: int) -> IntPoly:
+    """Radical of the m-th base extension, exactly.
 
     The extension must be a perfect power of its radical; anything else is a
     violated structural expectation and raises.
     """
     d = q0.degree()
-    ext = _exact_extension(q0, m)
+    ext = base_extension(q0, m)
     rad = radical(ext)
     rdeg = rad.degree()
     if d % rdeg:
         raise ArithmeticError(f"extension degree {d} not a multiple of radical degree {rdeg}")
-    f = d // rdeg
-    power = IntPoly([1])
-    for _ in range(f):
-        power = power * rad
-    if power != ext:
+    if rad ** (d // rdeg) != ext:
         raise ArithmeticError("extension is not a perfect power of its radical")
-    return f, rad
+    return rad
 
 
 def _extension_exponent(rad: IntPoly, m: int, q: int) -> int:
@@ -189,6 +164,15 @@ def _extension_exponent(rad: IntPoly, m: int, q: int) -> int:
     if rad == IntPoly([-(q ** m), 0, 1]):
         return 2
     return 1
+
+
+def _exact_f(q0: IntPoly, m: int, e: int, q: int) -> int:
+    """Corrected multiplicity e * deg q0 / (e_m * deg rad) at extension degree m."""
+    rad = _exact_drop(q0, m)
+    num, den = e * q0.degree(), _extension_exponent(rad, m, q) * rad.degree()
+    if num % den:
+        raise ArithmeticError("corrected multiplicity is not an integer")
+    return num // den
 
 
 def f_oracle(
@@ -222,33 +206,20 @@ def f_oracle(
         raise ArithmeticError("degenerate modular radical degree for every profile prime")
     upper = {m: Fraction(e * d, rdeg) for m, rdeg in profile.items()}
     # baseline at m = 1 (q0 is squarefree, but the exponent may act)
-    _, rad1 = _exact_drop(q0, 1)
-    e1 = _extension_exponent(rad1, 1, ctx.q)
-    best_f = (e * d) // (e1 * rad1.degree())
-    best_m = 1
-    candidates = sorted(m_set, key=lambda m: (-upper[m], m))
-    for m in candidates:
+    best_f, best_m = _exact_f(q0, 1, e, ctx.q), 1
+    for m in sorted(m_set, key=lambda m: (-upper[m], m)):
         if upper[m] <= best_f:
             break
-        fm_raw, rad_m = _exact_drop(q0, m)
-        em = _extension_exponent(rad_m, m, ctx.q)
-        num = e * d
-        den = em * rad_m.degree()
-        if num % den:
-            raise ArithmeticError("corrected multiplicity is not an integer")
-        fm = num // den
+        fm = _exact_f(q0, m, e, ctx.q)
         if fm > best_f:
             best_f, best_m = fm, m
     # smallest attaining m: check candidates below the current witness
-    for m in sorted(m_set):
+    for m in m_set:
         if m >= best_m:
             break
-        if upper[m] >= best_f:
-            fm_raw, rad_m = _exact_drop(q0, m)
-            em = _extension_exponent(rad_m, m, ctx.q)
-            if (e * d) // (em * rad_m.degree()) == best_f:
-                best_m = m
-                break
+        if upper[m] >= best_f and _exact_f(q0, m, e, ctx.q) == best_f:
+            best_m = m
+            break
     return best_f, best_m
 
 

@@ -197,6 +197,40 @@ X = IntPoly([0, 1])
 ONE = IntPoly([1])
 
 
+def homogenize(r: IntPoly, quad: IntPoly) -> IntPoly:
+    """x^d * r(quad(x) / x) = sum_k r_k * quad^k * x^(d - k), d = deg r, for a
+    monic quadratic quad; Horner in quad with x^(d - k) as the k-th digit."""
+    d = r.degree()
+    acc = IntPoly()
+    for k in range(d, -1, -1):
+        acc = acc * quad + IntPoly([0] * (d - k) + [r[k]])
+    return acc
+
+
+def dehomogenize(f: IntPoly, quad: IntPoly) -> IntPoly:
+    """The r with homogenize(r, quad) == f; ValueError if there is none.
+
+    quad^k * x^(d - k) is monic of degree d + k, so the coefficient of
+    x^(d + k) left after peeling the higher terms is r_k.
+    """
+    if f.degree() % 2:
+        raise ValueError("a homogenized polynomial has even degree")
+    d = f.degree() // 2
+    powers = [ONE]
+    for _ in range(d):
+        powers.append(powers[-1] * quad)
+    residual = list(f.coeffs)
+    r = [0] * (d + 1)
+    for k in range(d, -1, -1):
+        c = r[k] = residual[d + k]
+        if c:
+            for i, a in enumerate(powers[k].coeffs):
+                residual[d - k + i] -= c * a
+    if any(residual):
+        raise ValueError("not in the image of the transform")
+    return IntPoly(r)
+
+
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + prem(a, b)."""
     if b.is_zero():

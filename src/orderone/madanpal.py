@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import euler_phi
 from .cyclo import cyclotomic_poly
-from .intpoly import IntPoly
+from .intpoly import IntPoly, dehomogenize, homogenize
 from .weil import (
     F2,
     NewtonPolygon,
@@ -34,27 +35,13 @@ KNOWN_FACTORS = {
 }
 
 
-def euler_phi(n: int) -> int:
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def madan_pal_poly(n: int) -> IntPoly:
     """P_n, computed exactly through the minimal polynomial of 2*cos(2*pi/n).
 
-    Phi_n(x) = x^(phi(n)/2) * psi_n(x + 1/x) for n >= 3, and then
-    P_n(x) = sum_j psi_j * (x^2 - 4x + 1)^j * x^(d - j).
+    Phi_n(x) = x^(phi(n)/2) * psi_n(x + 1/x) for n >= 3, that is
+    homogenize(psi_n, x^2 + 1), and then P_n(x) = x^d * psi_n(x + 1/x - 4)
+    = homogenize(psi_n, x^2 - 4x + 1).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -62,23 +49,8 @@ def madan_pal_poly(n: int) -> IntPoly:
         return IntPoly([1, -6, 1])
     if n == 2:
         return IntPoly([1, -2, 1])
-    phi_n = cyclotomic_poly(n)
-    d = phi_n.degree() // 2
-    residual = phi_n
-    psi = [0] * (d + 1)
-    x2p1 = IntPoly([1, 0, 1])
-    for k in range(d, -1, -1):
-        c = residual[d + k]
-        psi[k] = c
-        residual = residual - IntPoly([c]) * x2p1 ** k * IntPoly([0, 1]) ** (d - k)
-    if not residual.is_zero():
-        raise ArithmeticError(f"Phi_{n} is not a polynomial in x + 1/x")
-    core = IntPoly([1, -4, 1])
-    acc = IntPoly()
-    for j, c in enumerate(psi):
-        if c:
-            acc = acc + IntPoly([c]) * core ** j * IntPoly([0, 1]) ** (d - j)
-    return acc
+    psi = dehomogenize(cyclotomic_poly(n), IntPoly([1, 0, 1]))
+    return homogenize(psi, IntPoly([1, -4, 1]))
 
 
 def simple_factor_list(n: int) -> list[IntPoly]:

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import factorize
 from .cyclo import CycInt, reduced_root_vector, root_sum
 from .roots import ROOT_ONE, RootOfUnity
 
@@ -159,6 +160,15 @@ def _vectors(values: list[RootOfUnity]) -> list[tuple[int, ...]]:
     return [reduced_root_vector(v, level) for v in values]
 
 
+def _vanishes(vecs, mod2: bool) -> bool:
+    """The vectors sum to zero (to an even vector if mod2).
+
+    Exact: the power basis is a Z-basis of Z[zeta_N], the full ring of
+    integers, so even coordinates decide divisibility by 2 at any level.
+    """
+    return not any(sum(col) % 2 if mod2 else sum(col) for col in zip(*vecs))
+
+
 def _bitmask(vec: tuple[int, ...]) -> int:
     m = 0
     for i, x in enumerate(vec):
@@ -270,11 +280,11 @@ def is_indecomposable(r: Relation, mod2: bool = False) -> bool:
     """No nonempty proper sub-multiset has vanishing (resp. even) sum."""
     if r.weight > MAX_SUBSET_SEARCH_WEIGHT:
         raise CapacityError(f"subset search capped at weight {MAX_SUBSET_SEARCH_WEIGHT}")
-    if not r.is_valid(mod2):
+    vecs = _vectors(r.values())
+    if not _vanishes(vecs, mod2):
         raise ValueError("input is not a valid relation")
     if r.weight == 0:
         return False
-    vecs = _vectors(r.values())
     if mod2:
         return _find_even_subset([_bitmask(v) for v in vecs]) is None
     return next(_proper_vanishing_subsets(vecs), None) is None
@@ -360,7 +370,7 @@ def enumerate_indecomposable(max_weight: int) -> tuple[RelationClass, ...]:
         raise CapacityError("enumeration is supported up to weight 8")
     seen: dict[tuple, RelationClass] = {}
     for n in ENUM_LEVELS:
-        bound = 2 + sum(p - 2 for p in _prime_factors(n))
+        bound = 2 + sum(p - 2 for p in factorize(n))
         for w in range(2, max_weight + 1):
             if w < bound:
                 continue
@@ -374,27 +384,13 @@ def enumerate_indecomposable(max_weight: int) -> tuple[RelationClass, ...]:
     return tuple(sorted(seen.values(), key=lambda c: (c.representative.weight, tuple(_entry_key(e) for e in c.representative.entries))))
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- sign lifts of mod-2 relations --------------------------------------------
 
 
-def _lifts(values: list[RootOfUnity]):
+def _lifts(vecs):
     """Sign vectors sigma (sigma_0 = +1) with vanishing signed sum, first hit first."""
-    vecs = _vectors(values)
     for mask in _vanishing_masks(vecs[1:], (1, -1), offset=vecs[0]):
-        yield [1] + [-1 if (mask >> i) & 1 else 1 for i in range(len(values) - 1)]
+        yield [1] + [-1 if (mask >> i) & 1 else 1 for i in range(len(vecs) - 1)]
 
 
 def lift_mod2(r: Relation) -> Relation | None:
@@ -406,12 +402,13 @@ def lift_mod2(r: Relation) -> Relation | None:
     """
     if r.weight > MAX_LIFT_WEIGHT:
         raise CapacityError(f"lift search capped at weight {MAX_LIFT_WEIGHT}")
-    if not r.is_valid(mod2=True):
+    values = r.values()
+    vecs = _vectors(values)
+    if not _vanishes(vecs, mod2=True):
         raise ValueError("input is not a mod-2 relation")
     if r.weight == 0:
         return r
-    values = r.values()
-    sigma = next(_lifts(values), None)
+    sigma = next(_lifts(vecs), None)
     if sigma is None:
         return None
     return Relation.make([(v, s) for v, s in zip(values, sigma)])
@@ -421,11 +418,12 @@ def lift_is_unique(r: Relation) -> bool:
     """Exactly one lift up to multiplying all signs by -1."""
     if r.weight > MAX_LIFT_WEIGHT:
         raise CapacityError(f"lift search capped at weight {MAX_LIFT_WEIGHT}")
-    if not r.is_valid(mod2=True):
+    vecs = _vectors(r.values())
+    if not _vanishes(vecs, mod2=True):
         raise ValueError("input is not a mod-2 relation")
     if r.weight == 0:
         return True
-    return len(list(itertools.islice(_lifts(r.values()), 2))) == 1
+    return len(list(itertools.islice(_lifts(vecs), 2))) == 1
 
 
 # -- conjugation-stable partitions ---------------------------------------------
@@ -488,11 +486,11 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
     indecomposable mod-2 relations whose unique sign lift pairs conjugate
     elements with opposite signs, so no conjugation-equivariant lift exists.
     """
-    if not r.is_valid(mod2=mod2):
-        raise ValueError("input is not a valid relation")
     values = r.values()
-    c = _conjugation_involution(values)
     vecs = _vectors(values)
+    if not _vanishes(vecs, mod2):
+        raise ValueError("input is not a valid relation")
+    c = _conjugation_involution(values)
     masks = [_bitmask(v) for v in vecs]
     if mod2:
         parts = _mod2_partition(masks, c, frozenset(range(len(values))))

@@ -10,23 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, from_power_sums, power_sums, prem, radical
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    i = 37
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+from .arith import is_prime
+from .intpoly import IntPoly, dehomogenize, from_power_sums, homogenize, power_sums, prem, radical
 
 
 @dataclass(frozen=True)
@@ -35,7 +20,7 @@ class WeilContext:
     a: int = 1
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.a < 1:
+        if not is_prime(self.p) or self.a < 1:
             raise ValueError("need a prime p and exponent a >= 1")
 
     @property
@@ -106,30 +91,12 @@ def real_to_weil(r: IntPoly, ctx: WeilContext) -> IntPoly:
     """Q(x) = x^deg(R) * R(x + q/x), the Weil polynomial of a real Weil polynomial."""
     if not r.is_monic():
         raise ValueError("real Weil polynomial must be monic")
-    d = r.degree()
-    acc = IntPoly()
-    xq = IntPoly([ctx.q, 0, 1])  # x^2 + q
-    for k in range(d + 1):
-        if r[k]:
-            acc = acc + IntPoly([r[k]]) * xq ** k * IntPoly([0, 1]) ** (d - k)
-    return acc
+    return homogenize(r, IntPoly([ctx.q, 0, 1]))
 
 
 def weil_to_real(qpoly: IntPoly, ctx: WeilContext) -> IntPoly:
     """Inverse of real_to_weil; requires the plus-sign functional equation."""
-    if qpoly.degree() % 2:
-        raise ValueError("Weil polynomial must have even degree")
-    d = qpoly.degree() // 2
-    residual = qpoly
-    coeffs = [0] * (d + 1)
-    xq = IntPoly([ctx.q, 0, 1])
-    for k in range(d, -1, -1):
-        c = residual[d + k]
-        coeffs[k] = c
-        residual = residual - IntPoly([c]) * xq ** k * IntPoly([0, 1]) ** (d - k)
-    if not residual.is_zero():
-        raise ValueError("not in the image of the real transform")
-    return IntPoly(coeffs)
+    return dehomogenize(qpoly, IntPoly([ctx.q, 0, 1]))
 
 
 def functional_equation_sign(qpoly: IntPoly, ctx: WeilContext):
@@ -265,17 +232,6 @@ def base_extension(qpoly: IntPoly, n: int) -> IntPoly:
     d = qpoly.degree()
     ps = power_sums(qpoly, d * n)
     return from_power_sums([ps[k * n - 1] for k in range(1, d + 1)], d)
-
-
-def ratio_root_of_unity_free(qpoly: IntPoly, orders: set[int]) -> bool:
-    """True iff no two roots of squarefree qpoly have ratio a root of unity of order dividing any m in orders."""
-    d = radical(qpoly).degree()
-    if d != qpoly.degree():
-        raise ValueError("input must be squarefree")
-    for m in sorted(orders):
-        if radical(base_extension(qpoly, m)).degree() != qpoly.degree():
-            return False
-    return True
 
 
 def np_forces_geom_simple(f: IntPoly, ctx: WeilContext) -> bool:

@@ -150,6 +150,24 @@ def test_cli_weil(tmp_path):
     assert doc["newton"] == [["1/2", 2]]
 
 
+NOT_A_CONTEXT = "error: need a prime p and exponent a >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "q, status, stderr",
+    [(-4, 2, NOT_A_CONTEXT), (0, 2, NOT_A_CONTEXT), (1, 2, NOT_A_CONTEXT), (6, 2, ""), (12, 2, "")]
+    + [(q, 0, "") for q in (2, 4, 8, 9)],
+)
+def test_cli_weil_field_size(tmp_path, q, status, stderr):
+    """q must be a prime power: q <= 1 names the cause, other non-prime-powers exit silently."""
+    poly = tmp_path / "p.json"
+    poly.write_text("[2,-2,1]")
+    res = run_cli(["weil", "--q", str(q), "--poly", str(poly), "--newton"], tmp_path)
+    assert (res.returncode, res.stderr) == (status, stderr)
+    if status == 0:
+        assert json.loads(res.stdout)["q"] == q
+
+
 def test_cli_deterministic_output_across_workers(tmp_path):
     a = run_cli(
         ["--workers", "1", "solve-g", "--max-order12", "6", "--max-order3", "6", "--max-level", "24"],

@@ -1,9 +1,9 @@
 import pytest
 
+from orderone.arith import divisors
 from orderone.geometry import (
     build_reports,
     default_m_set,
-    divisors,
     f_from_formula,
     f_oracle,
     geom_isogenous,

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from orderone.intpoly import (
     IntPoly,
+    dehomogenize,
     from_power_sums,
+    homogenize,
     interpolate,
     poly_gcd,
     poly_sqrt,
@@ -127,6 +129,19 @@ def test_interpolation_recovers(cs):
 def test_sqrt_of_square(cs):
     f = IntPoly(cs + [1])
     assert poly_sqrt(f * f) == f
+
+
+@given(nonzero_poly(5), coeff, coeff)
+@settings(max_examples=80)
+def test_dehomogenize_inverts_homogenize(r, b, c):
+    quad = IntPoly([c, b, 1])
+    f = homogenize(r, quad)
+    assert dehomogenize(f, quad) == r
+    if r.degree() >= 1:
+        with pytest.raises(ValueError):  # odd degree
+            dehomogenize(f * IntPoly([0, 1]), quad)
+        with pytest.raises(ValueError):  # f(0) = r_d * quad(0)^d fails, same degree
+            dehomogenize(f + 1, quad)
 
 
 def test_sqrt_rejects_non_square():

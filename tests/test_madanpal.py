@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from orderone.arith import euler_phi
 from orderone.cyclo import cyclotomic_poly
 from orderone.intpoly import IntPoly, interpolate, poly_sqrt, resultant
 from orderone.madanpal import (
     build_record,
-    euler_phi,
     is_eisenstein_at,
     madan_pal_poly,
     newton_lemma_check,

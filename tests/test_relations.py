@@ -76,6 +76,26 @@ def test_indecomposable_against_brute_force(mod2):
         assert is_indecomposable(rel, mod2=mod2) == brute_force_indecomposable(rel, mod2=mod2)
 
 
+def test_non_relations_are_rejected():
+    odd = Relation.from_values([r(0, 1), r(1, 5), r(4, 5)])  # -zeta^2 - zeta^3: not even
+    two = Relation.from_values([r(0, 1), r(0, 1)])  # 2: a mod-2 relation only
+    for mod2 in (False, True):
+        with pytest.raises(ValueError, match="not a valid relation"):
+            is_indecomposable(odd, mod2=mod2)
+        with pytest.raises(ValueError, match="not a valid relation"):
+            conjugation_stable_partition(odd, mod2=mod2)
+    for search in (lift_mod2, lift_is_unique):
+        with pytest.raises(ValueError, match="not a mod-2 relation"):
+            search(odd)
+    with pytest.raises(ValueError, match="not a valid relation"):
+        is_indecomposable(two)
+    with pytest.raises(ValueError, match="not a valid relation"):
+        conjugation_stable_partition(two)
+    assert is_indecomposable(two, mod2=True)
+    assert conjugation_stable_partition(two, mod2=True) == [two]
+    assert lift_mod2(two) == R2 and lift_is_unique(two)
+
+
 def test_capacity_error():
     big = Relation.from_values([r(k, 29) for k in range(25)])
     with pytest.raises(CapacityError):
@@ -309,9 +329,9 @@ def test_anti_equivariant_unique_lift_exists():
     assert is_indecomposable(rel, mod2=True)
     assert lift_is_unique(rel)
     values = rel.values()
-    from orderone.relations import _lifts
+    from orderone.relations import _lifts, _vectors
 
-    sigma = dict(zip(values, next(_lifts(values))))
+    sigma = dict(zip(values, next(_lifts(_vectors(values)))))
     assert all(sigma[v.conjugate()] == -sigma[v] for v in values)
     # the conjugation-stable partition still succeeds: the relation is one part
     parts = conjugation_stable_partition(rel, mod2=True)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from orderone import solver
+from orderone.arith import euler_phi
 from orderone.cyclo import root_sum
-from orderone.madanpal import euler_phi
 from orderone.relations import Relation, conjugation_stable_partition
 from orderone.roots import RootOfUnity
 from orderone.solver import (

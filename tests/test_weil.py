@@ -15,7 +15,6 @@ from orderone.weil import (
     is_real_weil,
     newton_polygon,
     np_forces_geom_simple,
-    ratio_root_of_unity_free,
     real_to_weil,
     weil_to_real,
 )
@@ -129,13 +128,6 @@ def test_radical_degree_monotone_under_coarsening():
             d1 = radical(base_extension(q, m)).degree()
             d2 = radical(base_extension(q, m * k)).degree()
             assert d2 <= d1
-
-
-def test_ratio_root_of_unity_free():
-    assert ratio_root_of_unity_free(IntPoly([-2, 0, 1]), {2}) is False
-    # the elliptic class has ratio (1+i)/(1-i) = i of order 4
-    assert ratio_root_of_unity_free(IntPoly([2, -2, 1]), {2, 3}) is True
-    assert ratio_root_of_unity_free(IntPoly([2, -2, 1]), {2, 3, 4}) is False
 
 
 def test_np_forces_geom_simple():
