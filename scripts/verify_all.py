@@ -50,6 +50,8 @@ def main():
               lambda: all(build_record(n).weil.eval(1) == 1 for n in range(1, 65))),
         check("multiplicity formula equals oracle for n <= 32",
               lambda: all(r.consistent for n in range(1, 33) for r in build_reports(n))),
+        check("multiplicity formula equals oracle for n <= 64",
+              lambda: all(r.consistent for n in range(1, 65) for r in build_reports(n))),
         check("ordinary versus geometrically simple for n <= 32",
               lambda: all(ordinary_xor_geom_simple(n) for n in range(1, 33))),
         check("geometric isogeny pairs over n <= 30",

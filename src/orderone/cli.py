@@ -107,7 +107,7 @@ def _context_for_q(q: int) -> WeilContext:
     # q < 2 reaches WeilContext, which rejects it with a message
     factors = factorize(q) if q > 1 else {q: 1}
     if len(factors) != 1:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"q must be a prime power, got {q}")
     ((p, a),) = factors.items()
     return WeilContext(p, a)
 

@@ -10,8 +10,23 @@ from the power sums p_m, ..., p_dm (d = deg q0) in one int64 table of q0's power
 sums mod p that q0's recurrence fills one matrix-vector product per block.
 Entries stay below p, so nothing wraps while d (p-1)^2 < 2^63; Newton inversion
 needs p > d.  Reduction mod p can merge roots but never split them, so the
-modular radical degree is at most the exact one and bounds the drop from above;
-exact radicals at the candidate maxima pin the result.  The isogeny test folds
+modular radical degree r is at most the exact one and bounds the drop from
+above; exact radicals at the candidate maxima pin the result.  There the
+extension ext is built over Z and, when r divides d, the monic rad of degree r
+with power sums p_k(ext) / (d / r) is tried: rad^(d/r) = ext certifies it, as
+the exact radical degree is then at most r, hence equal to it, and rad is the
+radical.  Without that certificate (a non-integral quotient or power sum
+inversion, or an unequal power) the PRS radical of ext decides, so the PRS
+gcd runs only on Weil polynomials and on such fallbacks.
+
+The isogeny test looks for a root ratio alpha/beta of unity of order dividing
+some m in m_set.  That order divides one of the maximal elements of m_set under
+divisibility, and a ratio has order dividing M exactly when alpha^M = beta^M,
+that is, when the M-th extensions of the two Weil polynomials share a root.
+Their exact gcd is then monic of positive degree and stays so mod p, so a
+constant gcd mod p at every maximal M proves the pair not isogenous.  The
+maximal elements cover the same orders as lcm(m_set) would, with tables no
+longer than d max(m_set).  Every other pair gets the exact test, which folds
 T(q x) mod x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
 
 The oracle corrects the raw degree drop in two documented situations:
@@ -27,6 +42,7 @@ drop measures a division-algebra thickening, not an actual splitting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,14 +99,12 @@ def _gcd_degree_mod_p(f, fp, p):
     while b:
         inv = pow(b[-1], p - 2, p)
         monic = [(c * inv) % p for c in b]
-        r = list(a)
+        r, low = list(a), monic[:-1]
         while len(r) >= len(monic):
-            c = r[-1]
+            c = r.pop()
             if c:
-                off = len(r) - len(monic)
-                for j, y in enumerate(monic):
-                    r[off + j] = (r[off + j] - c * y) % p
-            r.pop()
+                off = len(r) - len(low)
+                r[off:] = [(x - c * y) % p for x, y in zip(r[off:], low)]
             while r and r[-1] == 0:
                 r.pop()
         a, b = monic, r
@@ -118,20 +132,27 @@ def _power_sum_table(q0: IntPoly, count: int, p: int) -> np.ndarray:
     return table
 
 
+def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
+    """Monic polynomial mod p, lowest coefficient first, whose roots have power
+    sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d."""
+    d = len(ps)
+    inv = [0, 1]  # inv[k] = 1/k mod p, each from the inverse of p mod k
+    for k in range(2, d + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    coeffs = [1] + [0] * d
+    for k in range(1, d + 1):
+        acc = ps[k - 1] + sum(map(operator.mul, coeffs[1:k], ps[k - 2::-1]))
+        coeffs[k] = (-acc * inv[k]) % p
+    return coeffs[::-1]
+
+
 def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
     """{m: degree of the squarefree part of the m-th base extension mod p}."""
     d = q0.degree()
     table = _power_sum_table(q0, d * max(m_set), p)
-    inv = [pow(k, p - 2, p) for k in range(1, d + 1)]
     out = {}
     for m in m_set:
-        ext_ps = table[m:m * d + 1:m].tolist()
-        # Newton inversion mod p, then the gcd with the derivative
-        coeffs = [1] + [0] * d
-        for k in range(1, d + 1):
-            acc = ext_ps[k - 1] + sum(coeffs[i] * ext_ps[k - i - 1] for i in range(1, k))
-            coeffs[k] = (-acc * inv[k - 1]) % p
-        ext = coeffs[::-1]
+        ext = _from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
         der = [(i * c) % p for i, c in enumerate(ext)][1:]
         out[m] = d - max(_gcd_degree_mod_p(ext, der, p), 0)
     return out
@@ -140,14 +161,39 @@ def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
 # -- exact verification at a chosen extension degree ---------------------------
 
 
-def _exact_drop(q0: IntPoly, m: int) -> IntPoly:
-    """Radical of the m-th base extension, exactly.
+def _power_sum_radical(ext: IntPoly, rdeg: int) -> IntPoly | None:
+    """The monic rad of degree rdeg with rad^f = ext (f = deg ext / rdeg), if
+    ext is such a power: each root of rad is then f roots of ext, so
+    p_k(rad) = p_k(ext) / f.  None where that cannot hold; the caller still
+    has to check the power."""
+    d = ext.degree()
+    if d % rdeg:
+        return None
+    f = d // rdeg
+    ps = power_sums(ext, rdeg)
+    if any(s % f for s in ps):
+        return None
+    try:
+        return from_power_sums([s // f for s in ps], rdeg)
+    except ValueError:
+        return None
 
+
+def _exact_drop(q0: IntPoly, m: int, rdeg: int) -> IntPoly:
+    """Radical of the m-th base extension, exactly, given its radical degree
+    rdeg mod a profile prime, which is never above the exact one.
+
+    A monic rad of degree rdeg with rad^f = ext certifies itself: the exact
+    radical degree is then at most rdeg, hence equal to it, so rad is
+    squarefree with the roots of ext.  Otherwise the PRS radical decides.
     The extension must be a perfect power of its radical; anything else is a
     violated structural expectation and raises.
     """
     d = q0.degree()
     ext = base_extension(q0, m)
+    rad = _power_sum_radical(ext, rdeg)
+    if rad is not None and rad ** (d // rdeg) == ext:
+        return rad
     rad = radical(ext)
     rdeg = rad.degree()
     if d % rdeg:
@@ -166,9 +212,10 @@ def _extension_exponent(rad: IntPoly, m: int, q: int) -> int:
     return 1
 
 
-def _exact_f(q0: IntPoly, m: int, e: int, q: int) -> int:
-    """Corrected multiplicity e * deg q0 / (e_m * deg rad) at extension degree m."""
-    rad = _exact_drop(q0, m)
+def _exact_f(q0: IntPoly, m: int, rdeg: int, e: int, q: int) -> int:
+    """Corrected multiplicity e * deg q0 / (e_m * deg rad) at extension degree m,
+    rdeg being the radical degree there mod a profile prime."""
+    rad = _exact_drop(q0, m, rdeg)
     num, den = e * q0.degree(), _extension_exponent(rad, m, q) * rad.degree()
     if num % den:
         raise ArithmeticError("corrected multiplicity is not an integer")
@@ -199,25 +246,26 @@ def f_oracle(
 
     for p in PROFILE_PRIMES:
         # only a degenerate prime moves on: p <= d, or a radical degree of 0
-        profile = _radical_degree_profile(q0, m_set, p) if p > d else {}
+        # m = 1 too: the baseline's exact step needs its modular radical degree
+        profile = _radical_degree_profile(q0, sorted(set(m_set) | {1}), p) if p > d else {}
         if profile and min(profile.values()) > 0:
             break
     else:
         raise ArithmeticError("degenerate modular radical degree for every profile prime")
     upper = {m: Fraction(e * d, rdeg) for m, rdeg in profile.items()}
     # baseline at m = 1 (q0 is squarefree, but the exponent may act)
-    best_f, best_m = _exact_f(q0, 1, e, ctx.q), 1
+    best_f, best_m = _exact_f(q0, 1, profile[1], e, ctx.q), 1
     for m in sorted(m_set, key=lambda m: (-upper[m], m)):
         if upper[m] <= best_f:
             break
-        fm = _exact_f(q0, m, e, ctx.q)
+        fm = _exact_f(q0, m, profile[m], e, ctx.q)
         if fm > best_f:
             best_f, best_m = fm, m
     # smallest attaining m: check candidates below the current witness
     for m in m_set:
         if m >= best_m:
             break
-        if upper[m] >= best_f and _exact_f(q0, m, e, ctx.q) == best_f:
+        if upper[m] >= best_f and _exact_f(q0, m, profile[m], e, ctx.q) == best_f:
             best_m = m
             break
     return best_f, best_m
@@ -332,17 +380,45 @@ def _ratio_orders(m_set: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted({dd for m in m_set for dd in divisors(m)}))
 
 
+@lru_cache(maxsize=None)
+def _maximal_degrees(m_set: tuple[int, ...]) -> tuple[int, ...]:
+    """The m in m_set that divide no other element; every order in
+    _ratio_orders(m_set) divides one of them."""
+    return tuple(m for m in m_set if not any(k != m and k % m == 0 for k in m_set))
+
+
+@lru_cache(maxsize=256)
+def _extension_mod_p(q: IntPoly, m: int, p: int) -> tuple[int, ...]:
+    """The m-th base extension of monic q mod p, lowest coefficient first."""
+    d = q.degree()
+    return tuple(_from_power_sums_mod_p(_power_sum_table(q, d * m, p)[m::m].tolist(), p))
+
+
+def _no_shared_root_mod_p(q1: IntPoly, q2: IntPoly, degrees, p: int) -> bool:
+    """True only if no ratio alpha/beta (alpha of q1, beta of q2) has order
+    dividing any m in degrees: alpha^m = beta^m is a root shared by the m-th
+    extensions, and their exact gcd is monic, so it survives reduction mod p."""
+    return all(
+        _gcd_degree_mod_p(_extension_mod_p(q1, m, p), _extension_mod_p(q2, m, p), p) == 0
+        for m in degrees
+    )
+
+
 def geom_isogenous(n1: int, n2: int, m_set=None, ctx: WeilContext = F2) -> bool:
     """Nonzero geometric homomorphisms between some simple factors of the two
     classes, detected through a shared Frobenius-power eigenvalue.
 
     Equal geometric dimension of the simple geometric factors is a necessary
     condition and is used as a sound prefilter; the decisive test finds a root
-    ratio of unity of order dividing some m in m_set.
+    ratio of unity of order dividing some m in m_set.  A factor pair whose
+    extensions at the maximal m share no root mod PROFILE_PRIMES[0] has no
+    such ratio and skips the exact test.
     """
     if m_set is None:
         m_set = default_m_set()
-    orders = _ratio_orders(tuple(sorted(set(m_set))))
+    m_set = tuple(sorted(set(m_set)))
+    orders = _ratio_orders(m_set)
+    p = PROFILE_PRIMES[0]
     reps1, reps2 = build_reports(n1, ctx), build_reports(n2, ctx)
     for i, r1 in enumerate(reps1):
         for j, r2 in enumerate(reps2):
@@ -352,6 +428,10 @@ def geom_isogenous(n1: int, n2: int, m_set=None, ctx: WeilContext = F2) -> bool:
                 continue  # geometric simple factors have different dimensions
             q1 = radical(r1.weil)
             q2 = radical(r2.weil)
+            if p > max(q1.degree(), q2.degree()) and _no_shared_root_mod_p(
+                q1, q2, _maximal_degrees(m_set), p
+            ):
+                continue
             if _ratio_poly_cyclotomic_orders(q1, q2, orders, ctx.q):
                 return True
     return False

@@ -155,11 +155,12 @@ NOT_A_CONTEXT = "error: need a prime p and exponent a >= 1\n"
 
 @pytest.mark.parametrize(
     "q, status, stderr",
-    [(-4, 2, NOT_A_CONTEXT), (0, 2, NOT_A_CONTEXT), (1, 2, NOT_A_CONTEXT), (6, 2, ""), (12, 2, "")]
+    [(-4, 2, NOT_A_CONTEXT), (0, 2, NOT_A_CONTEXT), (1, 2, NOT_A_CONTEXT)]
+    + [(q, 2, f"error: q must be a prime power, got {q}\n") for q in (6, 12)]
     + [(q, 0, "") for q in (2, 4, 8, 9)],
 )
 def test_cli_weil_field_size(tmp_path, q, status, stderr):
-    """q must be a prime power: q <= 1 names the cause, other non-prime-powers exit silently."""
+    """q must be a prime power: every other q exits 2 with an error line naming the cause."""
     poly = tmp_path / "p.json"
     poly.write_text("[2,-2,1]")
     res = run_cli(["weil", "--q", str(q), "--poly", str(poly), "--newton"], tmp_path)

@@ -87,6 +87,12 @@ def test_formula_equals_oracle(n):
         assert rep.f_formula == rep.f_oracle, (n, rep)
 
 
+def test_formula_equals_oracle_up_to_64():
+    mismatches = [(n, r.f_formula, r.f_oracle) for n in range(1, 65) for r in build_reports(n)
+                  if not r.consistent]
+    assert mismatches == []
+
+
 def test_geom_isogenous_examples():
     assert geom_isogenous(1, 2) is True
     assert geom_isogenous(6, 7) is True
@@ -248,7 +254,7 @@ def test_f_oracle_does_not_retry_exact_failures(monkeypatch):
 
     calls = []
 
-    def failing_drop(q0, m):
+    def failing_drop(q0, m, rdeg):
         calls.append(m)
         raise ArithmeticError("exact route failed")
 
@@ -259,15 +265,10 @@ def test_f_oracle_does_not_retry_exact_failures(monkeypatch):
     assert calls == [1]
 
 
-def test_fold_agrees_with_direct_division():
-    """Folding mod x^dd - 1 before dividing by Phi_dd gives the same verdict as
-    dividing directly, for every order on every pair the prefilter passes."""
-    from orderone.cyclo import cyclotomic_poly
-    from orderone.geometry import _cyclotomic_divides, _ratio_orders, _scaled_ratio_poly
-
-    orders = _ratio_orders(tuple(default_m_set()))
-    tested = hits = 0
-    for n2 in range(1, 31):
+def _prefiltered_factor_pairs(max_n):
+    """(n1, n2, q1, q2) for every factor pair n1 <= n2 <= max_n, of distinct
+    factors, that passes the dimension prefilter of geom_isogenous."""
+    for n2 in range(1, max_n + 1):
         for n1 in range(1, n2 + 1):
             reps1, reps2 = build_reports(n1), build_reports(n2)
             for i, r1 in enumerate(reps1):
@@ -276,10 +277,93 @@ def test_fold_agrees_with_direct_division():
                         continue
                     if r1.dimension * r2.f_oracle != r2.dimension * r1.f_oracle:
                         continue
-                    scaled = _scaled_ratio_poly(radical(r1.weil), radical(r2.weil), 2)
-                    for dd in orders:
-                        direct = (scaled % cyclotomic_poly(dd)).is_zero()
-                        assert _cyclotomic_divides(scaled, dd) == direct, (n1, n2, dd)
-                        tested += 1
-                        hits += direct
+                    yield n1, n2, radical(r1.weil), radical(r2.weil)
+
+
+def test_fold_agrees_with_direct_division():
+    """Folding mod x^dd - 1 before dividing by Phi_dd gives the same verdict as
+    dividing directly, for every order on every pair the prefilter passes."""
+    from orderone.cyclo import cyclotomic_poly
+    from orderone.geometry import _cyclotomic_divides, _ratio_orders, _scaled_ratio_poly
+
+    orders = _ratio_orders(tuple(default_m_set()))
+    tested = hits = 0
+    for n1, n2, q1, q2 in _prefiltered_factor_pairs(30):
+        scaled = _scaled_ratio_poly(q1, q2, 2)
+        for dd in orders:
+            direct = (scaled % cyclotomic_poly(dd)).is_zero()
+            assert _cyclotomic_divides(scaled, dd) == direct, (n1, n2, dd)
+            tested += 1
+            hits += direct
     assert tested > 0 and hits > 0
+
+
+# -- certificates for the fast exact side --------------------------------------
+
+
+def _counting_radical(monkeypatch):
+    """Replace the PRS radical inside geometry by a wrapper recording its inputs."""
+    from orderone import geometry
+
+    seen = []
+
+    def counting(f):
+        seen.append(f)
+        return radical(f)
+
+    monkeypatch.setattr(geometry, "radical", counting)
+    return seen
+
+
+@pytest.mark.parametrize("n", [7, 23, 30])
+def test_exact_drop_falls_back_below_the_radical_degree(monkeypatch, n):
+    """A degree below the true radical degree has no certificate: the PRS
+    radical decides, and agrees with the radical of the extension."""
+    from orderone.geometry import _exact_drop
+
+    for rep in build_reports(n):
+        q0, m = radical(rep.weil), rep.stabilizing_m
+        ext = base_extension(q0, m)
+        want = radical(ext)
+        assert want.degree() < q0.degree()
+        seen = _counting_radical(monkeypatch)
+        assert _exact_drop(q0, m, want.degree()) == want
+        assert seen == []
+        assert _exact_drop(q0, m, want.degree() - 1) == want
+        assert seen == [ext]
+
+
+def test_exact_drop_rejects_a_wrong_power(monkeypatch):
+    """(x-1)(x-3) has integral halved power sums, of (x-2); (x-2)^2 differs, so
+    the PRS radical decides."""
+    from orderone.geometry import _exact_drop, _power_sum_radical
+
+    q0 = IntPoly([3, -4, 1])
+    assert _power_sum_radical(q0, 1) == IntPoly([-2, 1])
+    seen = _counting_radical(monkeypatch)
+    assert _exact_drop(q0, 1, 1) == q0
+    assert seen == [q0]
+
+
+def test_pair_screen_negatives_are_exact_negatives():
+    from orderone.geometry import (
+        EXPECTED_GEOM_PAIRS,
+        PROFILE_PRIMES,
+        _maximal_degrees,
+        _no_shared_root_mod_p,
+        _ratio_orders,
+        _ratio_poly_cyclotomic_orders,
+    )
+
+    m_set = tuple(default_m_set())
+    assert _maximal_degrees(m_set) == (2520,)
+    orders = _ratio_orders(m_set)
+    passed, negatives = set(), 0
+    for n1, n2, q1, q2 in _prefiltered_factor_pairs(30):
+        if _no_shared_root_mod_p(q1, q2, _maximal_degrees(m_set), PROFILE_PRIMES[0]):
+            negatives += 1
+            assert not _ratio_poly_cyclotomic_orders(q1, q2, orders, 2), (n1, n2)
+        else:
+            passed.add(frozenset((n1, n2)))
+    assert negatives > 0
+    assert EXPECTED_GEOM_PAIRS <= passed

@@ -10,14 +10,12 @@ from orderone.intpoly import (
     dehomogenize,
     from_power_sums,
     homogenize,
-    interpolate,
     poly_gcd,
-    poly_sqrt,
     power_sums,
     prem,
     radical,
-    resultant,
 )
+from polyroutes import interpolate, poly_sqrt, resultant
 
 x = sp.symbols("x")
 

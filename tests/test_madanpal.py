@@ -4,7 +4,7 @@ import pytest
 
 from orderone.arith import euler_phi
 from orderone.cyclo import cyclotomic_poly
-from orderone.intpoly import IntPoly, interpolate, poly_sqrt, resultant
+from orderone.intpoly import IntPoly
 from orderone.madanpal import (
     build_record,
     is_eisenstein_at,
@@ -13,6 +13,7 @@ from orderone.madanpal import (
     pn_at_one_check,
     simple_factor_list,
 )
+from polyroutes import interpolate, poly_sqrt, resultant
 
 
 def test_pinned_small_polynomials():

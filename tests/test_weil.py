@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderone.intpoly import IntPoly, interpolate, resultant
+from orderone.intpoly import IntPoly
 from orderone.weil import (
     F2,
     WeilContext,
@@ -18,6 +18,7 @@ from orderone.weil import (
     real_to_weil,
     weil_to_real,
 )
+from polyroutes import interpolate, resultant
 
 
 def test_real_to_weil_examples():
