@@ -18,6 +18,7 @@ from orderone.geometry import (
 from orderone.madanpal import build_record, newton_lemma_check, pn_at_one_check
 from orderone.relations import enumerate_indecomposable
 from orderone.solver import (
+    _family_maps,
     eigenvalue_resultant_identity,
     orbit_representatives,
     ratio_resultant_identity,
@@ -37,6 +38,8 @@ def main():
         check("weight-8 relation classification has 10 classes",
               lambda: len(enumerate_indecomposable(8)) == 10),
         check("16 orbit representatives", lambda: len(orbit_representatives()) == 16),
+        check("the family's symmetry orbit is four signed monomial maps and contains (zeta, 1/zeta, 1)",
+              lambda: len(_family_maps()) == 4 and ((1, 1), (1, -1), (1, 0)) in _family_maps()),
         check("sporadic order patterns within bounds (32, 32, 120)",
               lambda: verify_table2(32, 32, 120)["ok"]),
         check("eigenvalue resultant identity for 3 <= n <= 30",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,7 +184,11 @@ def _canonical(payload) -> str:
 
 
 def cache_get_or_compute(key: str, compute, directory: Path):
-    """Load payload from <directory>/<key>.json if intact, else compute and store."""
+    """Load payload from <directory>/<key>.json if intact, else compute and store.
+
+    The entry is written to a temporary file beside it and renamed into place,
+    so a reader sees either no entry or a whole one; if the write fails, the
+    temporary file is deleted."""
     path = directory / f"{key}.json"
     if path.exists():
         try:
@@ -203,5 +208,13 @@ def cache_get_or_compute(key: str, compute, directory: Path):
         "sha256": hashlib.sha256(_canonical(body).encode()).hexdigest(),
         "payload": body,
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+    fd, name = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=directory)
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return body

@@ -413,68 +413,70 @@ def solve_bounded(
             chunks = pool.map(_solve_order_pair, tasks)
     else:
         chunks = [_solve_order_pair(t) for t in tasks]
+    # Inversion and swap only permute the orders, and both order bounds on
+    # eta1, eta2 are max_order_12, so every image of a base solution is
+    # inside the bounds.  Images are collected as exponent vectors over
+    # m = lcm(2, a, b, c), the same m for every image and for every base
+    # reaching the same triple, and each distinct one is built once.
     found = set()
     for chunk in chunks:
         for a, k1, b, k2, c, k3 in chunk:
-            base = SolutionTriple(
-                RootOfUnity.make(k1, a), RootOfUnity.make(k2, b), RootOfUnity.make(k3, c)
-            )
-            images = [
-                base,
-                apply_symmetry(0, base),
-                apply_symmetry(1, base),
-                apply_symmetry(0, apply_symmetry(1, base)),
-            ]
-            found.update(t for t in images if _within(t, max_order_12, max_order_3, max_level))
-    return sorted(found)
-
-
-def _within(t: SolutionTriple, max_order_12: int, max_order_3: int, max_level: int) -> bool:
-    return (
-        t.eta1.order <= max_order_12
-        and t.eta2.order <= max_order_12
-        and t.eta3.order <= max_order_3
-        and t.level() <= max_level
-    )
+            m = math.lcm(2, a, b, c)
+            ks = (k1 * (m // a), k2 * (m // b), k3 * (m // c))
+            swapped = _act(1, m, ks)
+            found.update(((m, ks), (m, _act(0, m, ks)), (m, swapped), (m, _act(0, m, swapped))))
+    return sorted(_from_exponents(m, ks) for m, ks in found)
 
 
 # -- classification ------------------------------------------------------------
 
 
-def _orbit(t: SolutionTriple, cap: int = 50000) -> set[SolutionTriple]:
-    """The symmetry orbit of t, walked on exponent vectors over one modulus."""
-    m, start = _exponents(t)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for k in range(3):
-                img = _act(k, m, s)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-        if len(seen) > cap:
-            raise ArithmeticError("symmetry orbit unexpectedly large")
-    return {_from_exponents(m, ks) for ks in seen}
+@lru_cache(maxsize=1)
+def _family_maps() -> tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, int]], ...]:
+    """The symmetry orbit of the generic family point (zeta, zeta, -zeta), as
+    signed monomial maps zeta -> (s_j zeta^(e_j))_j written ((s_j, e_j))_j.
 
-
-def _orbit_verdicts(sols) -> dict[SolutionTriple, bool]:
-    """is_parametric for every member of the orbit of each of sols, walking
-    each orbit once."""
-    verdicts: dict[SolutionTriple, bool] = {}
-    for t in sols:
-        if t not in verdicts:
-            orbit = _orbit(t)
-            parametric = any(s.eta1 == s.eta2 and s.eta3 == s.eta1.negated() for s in orbit)
-            verdicts.update(dict.fromkeys(orbit, parametric))
-    return verdicts
+    A generator substitutes signed monomials into the coordinates, and that
+    commutes with specialising zeta, so the orbit of (zeta, zeta, -zeta) for
+    any root of unity zeta is {phi(zeta)} over these maps.  They are
+    (zeta, zeta, -zeta), (1/zeta, 1/zeta, -1/zeta), (zeta, 1/zeta, 1) and
+    (1/zeta, zeta, 1)."""
+    seen = [((1, 1), (1, 1), (-1, 1))]
+    for phi in seen:  # grows while it is walked: a breadth-first orbit walk
+        signs, expos = zip(*phi)
+        for gen in GENERATORS:
+            img = tuple(
+                (
+                    sign * math.prod(s for s, e in zip(signs, expo) if e % 2),
+                    sum(x * e for x, e in zip(expos, expo)),
+                )
+                for sign, expo in gen
+            )
+            if img not in seen:
+                seen.append(img)
+    if not all(any(abs(e) == 1 for _, e in phi) for phi in seen):
+        raise ArithmeticError("a family map has no coordinate that determines zeta")
+    return tuple(seen)
 
 
 def is_parametric(t: SolutionTriple) -> bool:
-    """True iff t lies in the symmetry orbit of some (zeta, zeta, -zeta)."""
-    return _orbit_verdicts((t,))[t]
+    """True iff t lies in the symmetry orbit of some (zeta, zeta, -zeta).
+
+    That orbit is {phi(zeta)} over the four _family_maps, because the
+    generators act by signed monomial substitution, which commutes with
+    specialising zeta.  So t is parametric iff t = phi(zeta) for some map
+    phi and root of unity zeta: a coordinate with exponent +-1 fixes zeta
+    over m = lcm(2, orders), and the other two must then agree mod m."""
+    m, ks = _exponents(t)
+    half = m // 2
+    for phi in _family_maps():
+        # k_j = (m/2 if s_j < 0) + e_j z (mod m), z the exponent of zeta over m
+        offsets = [k - (half if s < 0 else 0) for k, (s, _) in zip(ks, phi)]
+        i = next(j for j, (_, e) in enumerate(phi) if abs(e) == 1)
+        z = phi[i][1] * offsets[i]
+        if all((o - e * z) % m == 0 for o, (_, e) in zip(offsets, phi)):
+            return True
+    return False
 
 
 def classify_solutions(sols, verdicts: dict[SolutionTriple, bool] | None = None) -> list[SolutionPattern]:
@@ -485,7 +487,7 @@ def classify_solutions(sols, verdicts: dict[SolutionTriple, bool] | None = None)
     verdicts, when given, holds is_parametric of every solution.
     """
     if verdicts is None:
-        verdicts = _orbit_verdicts(sols)
+        verdicts = {t: is_parametric(t) for t in sols}
     sporadic: dict[tuple[int, int], set[int]] = {}
     parametric: dict[tuple[int, int], set[int]] = {}
     for t in sols:
@@ -517,18 +519,25 @@ SPORADIC_ORDER_PATTERNS: tuple[SolutionPattern, ...] = (
 
 
 def expected_parametric(max_order_12: int, max_order_3: int, max_level: int) -> set[SolutionTriple]:
-    """The symmetry orbit of the one-parameter family (zeta, zeta, -zeta) within bounds."""
+    """The symmetry orbit of the one-parameter family (zeta, zeta, -zeta)
+    within bounds, for zeta of every order n <= 2 max(max_order_12, max_order_3).
+
+    That orbit is {phi(zeta)} over the four _family_maps (the generators act
+    by signed monomial substitution, which commutes with specialising zeta).
+    The orders of phi(zeta) depend only on the order n of zeta, so each
+    (n, phi) is kept or dropped by an integer bound test on zeta = e^(2 pi i / n)
+    before any of its phi(n) triples is built."""
     out: set[SolutionTriple] = set()
-    walked: set[SolutionTriple] = set()
     for n in range(1, 2 * max(max_order_12, max_order_3) + 1):
-        for k in _primitive_residues(n):
-            zeta = RootOfUnity.make(k, n)
-            seed = SolutionTriple(zeta, zeta, zeta.negated())
-            if seed in walked:
+        m = math.lcm(2, n)
+        for phi in _family_maps():
+            offsets = [m // 2 if s < 0 else 0 for s, _ in phi]
+            o1, o2, o3 = (m // math.gcd(o + e * (m // n), m) for o, (_, e) in zip(offsets, phi))
+            if max(o1, o2) > max_order_12 or o3 > max_order_3 or math.lcm(o1, o2, o3) > max_level:
                 continue
-            orbit = _orbit(seed)
-            walked |= orbit
-            out.update(t for t in orbit if _within(t, max_order_12, max_order_3, max_level))
+            for k in _primitive_residues(n):
+                z = k * (m // n)
+                out.add(_from_exponents(m, tuple(o + e * z for o, (_, e) in zip(offsets, phi))))
     return out
 
 
@@ -537,7 +546,7 @@ def verify_table2(
 ) -> dict:
     """Recompute the sporadic order patterns and the parametric locus within bounds."""
     sols = solve_bounded(max_order_12, max_order_3, max_level, workers=workers)
-    verdicts = _orbit_verdicts(sols)
+    verdicts = {t: is_parametric(t) for t in sols}
     patterns = classify_solutions(sols, verdicts)
     sporadic = tuple(p for p in patterns if p.kind == "sporadic")
     found_parametric = {t for t in sols if verdicts[t]}

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .intpoly import IntPoly, dehomogenize, from_power_sums, homogenize, power_sums, prem, radical
 
 
@@ -220,18 +220,21 @@ def is_real_weil(r: IntPoly, ctx: WeilContext) -> bool:
 def base_extension(qpoly: IntPoly, n: int) -> IntPoly:
     """Monic polynomial whose roots are the n-th powers of the roots of qpoly.
 
-    By Newton's identities: the k-th power sum of the extension is the
-    (k*n)-th power sum of the input.
+    By Newton's identities: the k-th power sum of the p-th extension is the
+    (k*p)-th power sum of the input.  The n-th extension is that step chained
+    over the prime factors p of n, largest first, so it needs d * (sum of the
+    prime factors) power sums and not d * n.
     """
     if not qpoly.is_monic():
         raise ValueError("base extension needs a monic polynomial")
     if n < 1:
         raise ValueError("extension degree must be positive")
-    if n == 1:
-        return qpoly
     d = qpoly.degree()
-    ps = power_sums(qpoly, d * n)
-    return from_power_sums([ps[k * n - 1] for k in range(1, d + 1)], d)
+    for p, e in sorted(factorize(n).items(), reverse=True):
+        for _ in range(e):
+            ps = power_sums(qpoly, d * p)
+            qpoly = from_power_sums(ps[p - 1 :: p], d)
+    return qpoly
 
 
 def np_forces_geom_simple(f: IntPoly, ctx: WeilContext) -> bool:

@@ -1,9 +1,9 @@
 """Exact polynomial routines that only the tests use, as independent routes
-for cross-checks: the subresultant resultant, Newton interpolation over Z and
-the square root of a monic square."""
+for cross-checks: the subresultant resultant, Newton interpolation over Z,
+the square root of a monic square and the one-shot base extension."""
 from fractions import Fraction
 
-from orderone.intpoly import IntPoly, prem
+from orderone.intpoly import IntPoly, from_power_sums, power_sums, prem
 
 
 def resultant(a: IntPoly, b: IntPoly) -> int:
@@ -102,3 +102,11 @@ def interpolate(points: list[tuple[int, int]]) -> IntPoly:
             raise ValueError("interpolation produced non-integer coefficients")
         out.append(int(c))
     return IntPoly(out)
+
+
+def stride_base_extension(q: IntPoly, n: int) -> IntPoly:
+    """The n-th base extension of monic q in one step: the power sums
+    p_n, p_2n, ..., p_dn of q, read with stride n out of all d * n of them."""
+    d = q.degree()
+    ps = power_sums(q, d * n)
+    return from_power_sums(ps[n - 1 :: n], d)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,31 @@ def test_cache_detects_corruption(tmp_path):
     path.write_text(json.dumps(doc))
     v3 = serialize.cache_get_or_compute("k", compute, tmp_path)
     assert v3 == {"x": 1}
+    assert len(calls) == 2
+
+
+def test_cache_write_failing_partway_leaves_no_entry(tmp_path, monkeypatch):
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return {"x": list(range(100))}
+
+    write_text = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="no space left"):
+        serialize.cache_get_or_compute("k", compute, tmp_path)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert serialize.cache_get_or_compute("k", compute, tmp_path) == {"x": list(range(100))}
+    assert len(calls) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert serialize.cache_get_or_compute("k", compute, tmp_path) == {"x": list(range(100))}
     assert len(calls) == 2
 
 

@@ -413,9 +413,38 @@ def test_fast_paths_match_reference_routes(box):
     parametric = {t for t in sols if per_solution_is_parametric(t)}
     verdicts = {t: t in parametric for t in sols}
     assert classify_solutions(sols) == classify_solutions(sols, verdicts)
-    assert {t for t, v in solver._orbit_verdicts(sols).items() if v and t in verdicts} == parametric
+    assert {t for t in sols if is_parametric(t)} == parametric
     assert expected_parametric(*box) == per_seed_expected_parametric(*box)
     result = verify_table2(*box)
     assert result["solutions"] == sols
     assert result["patterns"] == classify_solutions(sols, verdicts)
     assert result["parametric_ok"] == (parametric == per_seed_expected_parametric(*box))
+
+
+FAMILY_MAPS = {
+    ((1, 1), (1, 1), (-1, 1)),  # (zeta, zeta, -zeta)
+    ((1, -1), (1, -1), (-1, -1)),  # (1/zeta, 1/zeta, -1/zeta)
+    ((1, 1), (1, -1), (1, 0)),  # (zeta, 1/zeta, 1)
+    ((1, -1), (1, 1), (1, 0)),  # (1/zeta, zeta, 1)
+}
+
+
+def evaluate_map(phi, zeta):
+    coords = [zeta ** e for _, e in phi]
+    return SolutionTriple(*(c.negated() if s < 0 else c for c, (s, _) in zip(coords, phi)))
+
+
+def test_family_orbit_is_four_signed_monomial_maps():
+    maps = solver._family_maps()
+    assert len(maps) == 4 and set(maps) == FAMILY_MAPS
+    for n in range(1, 25):
+        for k in primitive(n):
+            zeta = r(k, n)
+            seed = SolutionTriple(zeta, zeta, zeta.negated())
+            assert {evaluate_map(phi, zeta) for phi in maps} == hand_orbit(seed), seed
+
+
+def test_closed_form_parametric_test_matches_orbit_walk():
+    """Every triple of the box, solutions of g or not."""
+    for t in small_box_triples(7):
+        assert is_parametric(t) == per_solution_is_parametric(t), t

@@ -18,7 +18,7 @@ from orderone.weil import (
     real_to_weil,
     weil_to_real,
 )
-from polyroutes import interpolate, resultant
+from polyroutes import interpolate, resultant, stride_base_extension
 
 
 def test_real_to_weil_examples():
@@ -112,6 +112,23 @@ def test_base_extension_three_routes(q, n):
     assert got == resultant_base_extension(q, n)
     if q.degree() * n <= 12:
         assert got == numeric_base_extension(q, n)
+
+
+@pytest.mark.parametrize("m", [4, 12, 62, 840, 2520])
+@pytest.mark.parametrize(
+    "q", [IntPoly([2, -2, 1]), IntPoly([-2, 0, 1]), IntPoly([4, -6, 5, -3, 1])]
+)
+def test_prime_steps_match_one_shot_extension(q, m):
+    assert base_extension(q, m) == stride_base_extension(q, m)
+
+
+def test_prime_steps_match_one_shot_extension_of_an_oracle_factor():
+    from orderone.madanpal import build_record
+    from orderone.weil import radical
+
+    for factor in set(build_record(31).simple_factors):
+        q0 = radical(real_to_weil(factor, F2))
+        assert base_extension(q0, 62) == stride_base_extension(q0, 62)
 
 
 def test_base_extension_composes():
