@@ -12,6 +12,11 @@ The tables and the scan keep a fixed order, so a first-hit search (a lift, a
 vanishing subset) returns the same answer on every run.  The mod-2 searches
 are linear algebra over GF(2) and do not use it.
 
+The weight <= 8 classes are enumerated on exponent tuples x mod 2n (values
+zeta_2n^x in +-mu_n) and become `Relation`s only when they survive: (a)
+parts holding an antipodal pair are never listed, (b) one member per
+rotation class is tested, (c) on rows of the level's reduction table.
+
 Element values live in the group of roots of unity; an entry is stored as
 (root, sign) with the canonical split convention that sign = -1 is used
 exactly when the value is minus a root of odd order.  This matches the
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize
-from .cyclo import CycInt, reduced_root_vector, root_sum
-from .roots import ROOT_ONE, RootOfUnity
+from .cyclo import CycInt, _reduction_table, reduced_root_vector, root_sum
+from .roots import RootOfUnity
 
 
 class CapacityError(Exception):
@@ -296,59 +301,43 @@ def is_indecomposable(r: Relation, mod2: bool = False) -> bool:
 # for squarefree odd N with sum over p | N of (p - 2) at most w - 2 (classical
 # bound, used as a pruning licence, not re-derived here).
 ENUM_LEVELS = (1, 3, 5, 7, 15, 21)
-_LARGEST_PRIME = {3: 3, 5: 5, 7: 7, 15: 5, 21: 7}
-
-
-def _pm_elements(m: int) -> list[RootOfUnity]:
-    out = []
-    for k in range(m):
-        r = RootOfUnity.make(k, m)
-        out.append(r)
-        out.append(r.negated())
-    return sorted(set(out))
 
 
 @lru_cache(maxsize=None)
-def _sums_by_size(m: int, k: int):
-    """dict: reduced-sum key at level 2m -> list of size-k multisets over +-mu_m."""
-    level = 2 * m if m % 2 else m
-    elements = _pm_elements(m)
-    out: dict[tuple[int, ...], list[tuple[RootOfUnity, ...]]] = {}
-    zero = root_sum([], level).reduced()
-    if k == 0:
-        return {zero: [()]}
-    for combo in itertools.combinations_with_replacement(elements, k):
-        key = root_sum([(1, v) for v in combo], level).reduced()
-        out.setdefault(key, []).append(combo)
+def _parts_by_sum(m: int, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Power-basis sum at level 2m -> size-k exponent multisets a mod 2m
+    (values zeta_2m^a in +-mu_m) holding no antipodal pair a, a + m."""
+    rows = _reduction_table(2 * m)
+    zero = (0,) * len(rows[0])
+    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for part in itertools.combinations_with_replacement(range(2 * m), k):
+        if not any((a + m) % (2 * m) in part for a in part):
+            out.setdefault(tuple(map(sum, zip(zero, *(rows[a] for a in part)))), []).append(part)
     return out
 
 
-def _relations_at_level(n: int, weight: int) -> list[Relation]:
-    """All vanishing-sum multisets of the given weight over +-mu_n."""
+def _vanishing_exponents(n: int, weight: int):
+    """Exponents x mod 2n of the vanishing weight-w multisets {zeta_2n^x} over
+    +-mu_n with no antipodal pair (w >= 3), or of {1, -1} (n = 1, w = 2).
+
+    With p the largest prime of n and m = n / p, x = a * zeta_p^i for one a
+    in +-mu_m and 0 <= i < p, and sum_i zeta_p^i S_i vanishes iff the part
+    sums S_i agree.  (a) -x = (-a) * zeta_p^i lies in the same part, and
+    {x, -x} is a proper vanishing sub-multiset at weight >= 3, so parts with
+    an antipodal pair are skipped; over +-1 every multiset of weight >= 4
+    holds one."""
     if n == 1:
-        if weight % 2:
-            return []
-        half = weight // 2
-        return [Relation.make([(ROOT_ONE, 1)] * half + [(ROOT_ONE, -1)] * half)]
-    p = _LARGEST_PRIME[n]
+        if weight == 2:
+            yield (0, 1)
+        return
+    p = max(factorize(n))
     m = n // p
-    out = []
-    zeta_p = RootOfUnity.make(1, p)
     for comp in _compositions(weight, p):
-        tables = [_sums_by_size(m, k) for k in comp]
-        common = set(tables[0].keys())
-        for t in tables[1:]:
-            common &= set(t.keys())
-            if not common:
-                break
-        for key in common:
+        tables = [_parts_by_sum(m, k) for k in comp]
+        for key in set(tables[0]).intersection(*tables[1:]):
             for choice in itertools.product(*(t[key] for t in tables)):
-                values = []
-                for i, part in enumerate(choice):
-                    shift = zeta_p ** i
-                    values.extend(v * shift for v in part)
-                out.append(Relation.from_values(values))
-    return out
+                # zeta_2m^a zeta_p^i = zeta_2n^(a p + 2 m i)
+                yield tuple((a * p + 2 * m * i) % (2 * n) for i, part in enumerate(choice) for a in part)
 
 
 def _compositions(total: int, parts: int):
@@ -366,22 +355,29 @@ def enumerate_indecomposable(max_weight: int) -> tuple[RelationClass, ...]:
 
     Memoized per weight bound, one entry for each of 1..8; the tuple and its
     frozen classes are shared by every caller."""
-    if not 1 <= max_weight <= 8:
-        raise CapacityError("enumeration is supported up to weight 8")
-    seen: dict[tuple, RelationClass] = {}
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be in 1..8, got {max_weight}")
+    if max_weight > 8:
+        raise CapacityError(f"enumeration is supported for max_weight 1..8, got {max_weight}")
+    found: dict[Relation, RelationClass] = {}
     for n in ENUM_LEVELS:
+        level = 2 * n
+        rows = _reduction_table(level)
+        tested = set()
         bound = 2 + sum(p - 2 for p in factorize(n))
-        for w in range(2, max_weight + 1):
-            if w < bound:
-                continue
-            for rel in _relations_at_level(n, w):
-                if not is_indecomposable(rel):
+        for w in range(bound, max_weight + 1):
+            for xs in _vanishing_exponents(n, w):
+                # (b) indecomposability and canonical() are rotation invariant:
+                # test one member per class under rotation by mu_2n
+                key = min(tuple(sorted((x - e) % level for x in xs)) for e in set(xs))
+                if key in tested:
                     continue
-                canon = rel.canonical()
-                key = tuple(_entry_key(e) for e in canon.entries)
-                if key not in seen:
-                    seen[key] = RelationClass.of(canon)
-    return tuple(sorted(seen.values(), key=lambda c: (c.representative.weight, tuple(_entry_key(e) for e in c.representative.entries))))
+                tested.add(key)
+                # (c) exact test on table rows; of() canonicalizes survivors once
+                if next(_proper_vanishing_subsets([rows[x] for x in xs]), None) is None:
+                    cls = RelationClass.of(Relation.from_values(RootOfUnity.make(x, level) for x in xs))
+                    found.setdefault(cls.representative, cls)
+    return tuple(sorted(found.values(), key=lambda c: (c.representative.weight, tuple(_entry_key(e) for e in c.representative.entries))))
 
 
 # -- sign lifts of mod-2 relations --------------------------------------------

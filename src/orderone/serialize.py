@@ -3,7 +3,8 @@
 Integer magnitudes beyond 64 bits are emitted as decimal strings so the files
 stay consumable from languages without big integers; both forms are accepted
 on input.  Cached payloads carry a schema number and a content checksum, and
-corrupt entries are silently recomputed.
+corrupt entries (unreadable, not a JSON object, or failing either check)
+are silently recomputed.
 """
 from __future__ import annotations
 
@@ -193,6 +194,8 @@ def cache_get_or_compute(key: str, compute, directory: Path):
     if path.exists():
         try:
             doc = json.loads(path.read_text())
+            if not isinstance(doc, dict):
+                raise ValueError("cache entry is not a JSON object")
             body = doc.get("payload")
             if (
                 doc.get("schema") == SCHEMA

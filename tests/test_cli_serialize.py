@@ -90,6 +90,38 @@ def test_cache_detects_corruption(tmp_path):
     assert len(calls) == 2
 
 
+CORRUPT_ENTRIES = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "garbage": lambda text: "\udcff\x00not json",
+    "list": lambda text: "[]",
+    "null": lambda text: "null",
+    "number": lambda text: "1",
+    "string": lambda text: '"x"',
+    "checksum": lambda text: text.replace('"sha256": "', '"sha256": "0'),
+    "schema": lambda text: text.replace('"schema": 1', '"schema": 2'),
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPT_ENTRIES))
+def test_cache_recomputes_a_corrupt_entry_once(tmp_path, corrupt):
+    """A damaged entry is recomputed exactly once and then served as a hit."""
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return {"x": [1, 2, 3]}
+
+    serialize.cache_get_or_compute("k", compute, tmp_path)
+    path = tmp_path / "k.json"
+    text = path.read_text()
+    damaged = CORRUPT_ENTRIES[corrupt](text)
+    assert damaged != text
+    path.write_bytes(damaged.encode("utf-8", "surrogateescape"))
+    for _ in range(2):
+        assert serialize.cache_get_or_compute("k", compute, tmp_path) == {"x": [1, 2, 3]}
+        assert len(calls) == 2
+
+
 def test_cache_write_failing_partway_leaves_no_entry(tmp_path, monkeypatch):
     calls = []
 
@@ -164,6 +196,19 @@ def test_cli_usage_error(tmp_path):
     assert res.returncode == 2
     res = run_cli(["bogus-subcommand"], tmp_path)
     assert res.returncode == 2
+
+
+WEIGHT_OUT_OF_RANGE = {
+    0: "error: max_weight must be in 1..8, got 0\n",
+    9: "capacity error: enumeration is supported for max_weight 1..8, got 9\n",
+}
+
+
+@pytest.mark.parametrize("w", sorted(WEIGHT_OUT_OF_RANGE))
+def test_cli_relations_weight_out_of_range(tmp_path, w):
+    """A weight bound outside 1..8 exits 2 with an error line naming the range and the value."""
+    res = run_cli(["relations", "--max-weight", str(w)], tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", WEIGHT_OUT_OF_RANGE[w])
 
 
 def test_cli_weil(tmp_path):

@@ -1,19 +1,23 @@
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from conftest import equivariant_sign_flip, random_conjugation_stable_relation
+from orderone.arith import factorize
 from orderone.cyclo import _reduction_table, root_sum
 from orderone.relations import (
     CapacityError,
     Relation,
+    RelationClass,
     conjugation_stable_partition,
     enumerate_indecomposable,
     is_indecomposable,
     lift_is_unique,
     lift_mod2,
+    _vanishing_exponents,
     _vanishing_masks,
 )
 from orderone.roots import ROOT_ONE, RootOfUnity
@@ -155,8 +159,119 @@ def test_enumeration_is_one_shared_immutable_table(weight8_classes):
 
 
 def test_enumeration_rejects_large_weight():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"1\.\.8, got 9$"):
         enumerate_indecomposable(9)
+    with pytest.raises(ValueError, match=r"1\.\.8, got 0$"):
+        enumerate_indecomposable(0)
+
+
+# -- the generate-then-filter enumeration, kept as the oracle -----------------
+#
+# Every vanishing multiset over +-mu_n, each part a multiset over +-mu_m with
+# m = n / p taken from a table keyed by its reduced sum, built as a Relation
+# and tested with is_indecomposable.
+
+ORACLE_LARGEST_PRIME = {3: 3, 5: 5, 7: 7, 15: 5, 21: 7}
+
+
+def oracle_compositions(total: int, parts: int):
+    """Tuples of `parts` nonnegative ints summing to total, by stars and bars."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+@lru_cache(maxsize=None)
+def oracle_sums_by_size(m: int, k: int):
+    """Reduced sum at level 2m -> every size-k multiset over +-mu_m."""
+    elements = sorted({v for j in range(m) for v in (r(j, m), r(j, m).negated())})
+    out = {}
+    for combo in itertools.combinations_with_replacement(elements, k):
+        out.setdefault(root_sum([(1, v) for v in combo], 2 * m).reduced(), []).append(combo)
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_relations_at_level(n: int, weight: int) -> tuple[Relation, ...]:
+    """Every vanishing multiset of the given weight over +-mu_n."""
+    if n == 1:
+        half = weight // 2
+        return () if weight % 2 else (Relation.make([(ROOT_ONE, 1)] * half + [(ROOT_ONE, -1)] * half),)
+    p = ORACLE_LARGEST_PRIME[n]
+    out = []
+    for comp in oracle_compositions(weight, p):
+        tables = [oracle_sums_by_size(n // p, k) for k in comp]
+        for key in set(tables[0]).intersection(*tables[1:]):
+            for choice in itertools.product(*(t[key] for t in tables)):
+                out.append(Relation.from_values(
+                    v * r(i, p) for i, part in enumerate(choice) for v in part
+                ))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def oracle_classes_at_level(n: int, weight: int) -> dict:
+    """Canonical representative -> class of each indecomposable one."""
+    out = {}
+    for rel in oracle_relations_at_level(n, weight):
+        if is_indecomposable(rel):
+            canon = rel.canonical()
+            out.setdefault(canon, RelationClass.of(canon))
+    return out
+
+
+def oracle_enumerate(max_weight: int) -> tuple[RelationClass, ...]:
+    seen = {}
+    for n in (1, *ORACLE_LARGEST_PRIME):
+        bound = 2 + sum(p - 2 for p in factorize(n))
+        for w in range(bound, max_weight + 1):
+            for canon, cls in oracle_classes_at_level(n, w).items():
+                seen.setdefault(canon, cls)
+    return tuple(sorted(
+        seen.values(),
+        key=lambda c: (c.representative.weight, [(e.den, e.num, s < 0) for e, s in c.representative.entries]),
+    ))
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_enumeration_equals_generate_then_filter_oracle(w):
+    assert repr(enumerate_indecomposable(w)) == repr(oracle_enumerate(w))
+
+
+def _has_antipodal_pair(rel: Relation) -> bool:
+    values = set(rel.values())
+    return any(v.negated() in values for v in values)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 15, 21])
+def test_multisets_with_an_antipodal_pair_are_decomposable(n):
+    """At weight >= 3 an antipodal pair {x, -x} is a proper vanishing
+    sub-multiset; the multisets without one are those the library lists."""
+    level = 2 * n
+    for w in range(3, 9):
+        free = []
+        for rel in oracle_relations_at_level(n, w):
+            if _has_antipodal_pair(rel):
+                assert not is_indecomposable(rel)
+            else:
+                free.append(sorted(rel.values()))
+        listed = [sorted(r(x, level) for x in xs) for xs in _vanishing_exponents(n, w)]
+        assert sorted(listed) == sorted(free)
+
+
+def test_indecomposability_is_rotation_invariant(weight8_classes):
+    reps = [c.representative for c in weight8_classes]
+    rng = random.Random(21)
+    corpus = reps + [random_conjugation_stable_relation(rng, reps) for _ in range(60)]
+    seen = set()
+    for rel in corpus:
+        for mod2 in (False, True):
+            answer = is_indecomposable(rel, mod2=mod2)
+            seen.add(answer)
+            for _ in range(3):
+                zeta = r(rng.randrange(840), 840)
+                assert is_indecomposable(rel.rotate(zeta), mod2=mod2) == answer
+    assert seen == {False, True}
 
 
 def test_enumeration_outputs_are_valid(weight8_classes):
