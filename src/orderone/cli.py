@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import geometry, madanpal, relations, serialize, solver
@@ -194,7 +195,10 @@ def _cmd_verify_theorem(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CLAIM_FAILED
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    `main` call in the process; `parse_args` keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="orderone",
         description="exact recomputation of the geometric decomposition of "
@@ -266,8 +270,7 @@ def dispatch(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     cfg = RunConfig(
         command=ns.command,
         args=ns,

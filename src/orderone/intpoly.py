@@ -63,15 +63,8 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        a, b = self.coeffs, _coerce(other).coeffs
+        return IntPoly(_mul_coeffs(a, b) if len(a) >= len(b) else _mul_coeffs(b, a))
 
     __rmul__ = __mul__
 
@@ -163,10 +156,13 @@ class IntPoly:
         return acc
 
     def compose(self, inner: "IntPoly") -> "IntPoly":
-        acc = IntPoly()
+        """self(inner(x)), by Horner in inner."""
+        inner = _coerce(inner).coeffs
+        acc: list[int] = []
         for c in reversed(self.coeffs):
-            acc = acc * inner + IntPoly([c])
-        return acc
+            acc = _mul_coeffs(acc, inner) or [0]
+            acc[0] += c
+        return IntPoly(acc)
 
     def __repr__(self):
         if self.is_zero():
@@ -192,18 +188,38 @@ def _coerce(v) -> IntPoly:
     raise TypeError(f"cannot coerce {type(v)!r} to IntPoly")
 
 
-X = IntPoly([0, 1])
-ONE = IntPoly([1])
+def _mul_coeffs(long, short) -> list[int]:
+    """Coefficients of the product of two coefficient sequences (lowest degree
+    first): one scaled add of `long` per nonzero coefficient of `short`, so
+    pass the shorter sequence second.  Trailing zeros are not trimmed."""
+    if not long or not short:
+        return []
+    n = len(long)
+    out = [0] * (n + len(short) - 1)
+    for j, c in enumerate(short):
+        window = zip(out[j:j + n], long)
+        if c == 1:
+            out[j:j + n] = [o + a for o, a in window]
+        elif c == -1:
+            out[j:j + n] = [o - a for o, a in window]
+        elif c:
+            out[j:j + n] = [o + c * a for o, a in window]
+    return out
 
 
 def homogenize(r: IntPoly, quad: IntPoly) -> IntPoly:
     """x^d * r(quad(x) / x) = sum_k r_k * quad^k * x^(d - k), d = deg r, for a
-    monic quadratic quad; Horner in quad with x^(d - k) as the k-th digit."""
-    d = r.degree()
-    acc = IntPoly()
-    for k in range(d, -1, -1):
-        acc = acc * quad + IntPoly([0] * (d - k) + [r[k]])
-    return acc
+    quadratic quad; Horner in quad, where after j steps the digit r_(d - j)
+    lands on x^j."""
+    if quad.degree() != 2:
+        raise ValueError("homogenize needs a quadratic")
+    if r.is_zero():
+        return r
+    acc = [r.coeffs[-1]]
+    for j, c in enumerate(reversed(r.coeffs[:-1]), 1):
+        acc = _mul_coeffs(acc, quad.coeffs)
+        acc[j] += c
+    return IntPoly(acc)
 
 
 def dehomogenize(f: IntPoly, quad: IntPoly) -> IntPoly:
@@ -215,16 +231,16 @@ def dehomogenize(f: IntPoly, quad: IntPoly) -> IntPoly:
     if f.degree() % 2:
         raise ValueError("a homogenized polynomial has even degree")
     d = f.degree() // 2
-    powers = [ONE]
+    powers = [[1]]
     for _ in range(d):
-        powers.append(powers[-1] * quad)
+        powers.append(_mul_coeffs(powers[-1], quad.coeffs))
     residual = list(f.coeffs)
     r = [0] * (d + 1)
     for k in range(d, -1, -1):
         c = r[k] = residual[d + k]
         if c:
-            for i, a in enumerate(powers[k].coeffs):
-                residual[d - k + i] -= c * a
+            for i, a in enumerate(powers[k], d - k):
+                residual[i] -= c * a
     if any(residual):
         raise ValueError("not in the image of the transform")
     return IntPoly(r)

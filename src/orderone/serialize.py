@@ -2,9 +2,14 @@
 
 Integer magnitudes beyond 64 bits are emitted as decimal strings so the files
 stay consumable from languages without big integers; both forms are accepted
-on input.  Cached payloads carry a schema number and a content checksum, and
-corrupt entries (unreadable, not a JSON object, or failing either check)
-are silently recomputed.
+on input.  Cached payloads carry a schema number, an algorithm version and a
+content checksum, and corrupt or stale entries (unreadable, not a JSON
+object, or failing any of the three checks) are silently recomputed.
+
+ALGORITHM_VERSION is bumped on purpose whenever an algorithm on a result
+path changes what it outputs, so entries made by the older code are
+recomputed instead of served.  A change whose outputs stay byte-identical
+keeps the version.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .solver import SolutionPattern, SolutionTriple
 from .weil import NewtonPolygon
 
 SCHEMA = 1
+ALGORITHM_VERSION = 1
 _I64 = 2 ** 63
 
 
@@ -185,7 +191,8 @@ def _canonical(payload) -> str:
 
 
 def cache_get_or_compute(key: str, compute, directory: Path):
-    """Load payload from <directory>/<key>.json if intact, else compute and store.
+    """Load payload from <directory>/<key>.json if intact and made by this
+    ALGORITHM_VERSION, else compute and store.
 
     The entry is written to a temporary file beside it and renamed into place,
     so a reader sees either no entry or a whole one; if the write fails, the
@@ -199,6 +206,7 @@ def cache_get_or_compute(key: str, compute, directory: Path):
             body = doc.get("payload")
             if (
                 doc.get("schema") == SCHEMA
+                and doc.get("algorithm_version") == ALGORITHM_VERSION
                 and doc.get("sha256") == hashlib.sha256(_canonical(body).encode()).hexdigest()
             ):
                 return body
@@ -208,6 +216,7 @@ def cache_get_or_compute(key: str, compute, directory: Path):
     directory.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": SCHEMA,
+        "algorithm_version": ALGORITHM_VERSION,
         "sha256": hashlib.sha256(_canonical(body).encode()).hexdigest(),
         "payload": body,
     }

@@ -1,6 +1,7 @@
 """Exact polynomial routines that only the tests use, as independent routes
 for cross-checks: the subresultant resultant, Newton interpolation over Z,
-the square root of a monic square and the one-shot base extension."""
+the square root of a monic square, the one-shot base extension, and
+homogenize and compose by whole `IntPoly` products."""
 from fractions import Fraction
 
 from orderone.intpoly import IntPoly, from_power_sums, power_sums, prem
@@ -110,3 +111,21 @@ def stride_base_extension(q: IntPoly, n: int) -> IntPoly:
     d = q.degree()
     ps = power_sums(q, d * n)
     return from_power_sums(ps[n - 1 :: n], d)
+
+
+def homogenize_by_products(r: IntPoly, quad: IntPoly) -> IntPoly:
+    """x^d * r(quad(x) / x), d = deg r: Horner in quad with x^(d - k) as the
+    k-th digit, one `IntPoly` product and sum per step."""
+    d = r.degree()
+    acc = IntPoly()
+    for k in range(d, -1, -1):
+        acc = acc * quad + IntPoly([0] * (d - k) + [r[k]])
+    return acc
+
+
+def compose_by_products(f: IntPoly, inner: IntPoly) -> IntPoly:
+    """f(inner(x)), Horner with one `IntPoly` product and sum per step."""
+    acc = IntPoly()
+    for c in reversed(f.coeffs):
+        acc = acc * inner + IntPoly([c])
+    return acc

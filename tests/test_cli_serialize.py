@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orderone import serialize
+from orderone import cli, serialize
 from orderone.geometry import build_reports
 from orderone.intpoly import IntPoly
 from orderone.madanpal import build_record
@@ -99,6 +101,10 @@ CORRUPT_ENTRIES = {
     "string": lambda text: '"x"',
     "checksum": lambda text: text.replace('"sha256": "', '"sha256": "0'),
     "schema": lambda text: text.replace('"schema": 1', '"schema": 2'),
+    "stale version": lambda text: text.replace('"algorithm_version": 1', '"algorithm_version": 0'),
+    "no version": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "algorithm_version"}
+    ),
 }
 
 
@@ -167,6 +173,51 @@ def test_cli_solver_stdout_is_pinned(tmp_path, args, sha256):
         )
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout).hexdigest() == sha256
+
+
+def main_in_process(args, cache):
+    """(exit status, stdout, stderr) of one `cli.main` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(["--cache-dir", str(cache), *args])
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_cli_madan_pal_stdout_is_pinned(tmp_path):
+    """Byte-for-byte stdout of `madan-pal --n K` for K = 1..128, concatenated,
+    on a fresh cache and again from the cache."""
+    for _ in range(2):
+        digest = hashlib.sha256()
+        for k in range(1, 129):
+            status, out, _ = main_in_process(["madan-pal", "--n", str(k)], tmp_path)
+            assert status == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "4a13d3befcd24692e6d9606a14c98064d305fb63468c140569071e03da1043a4"
+
+
+def test_cli_parser_reuse_leaks_no_state(tmp_path):
+    """Requests in one process, sharing one parser and one cache, print what
+    each prints alone in a fresh process, usage errors included."""
+    calls = [
+        ["relations", "--max-weight", "3", "--mod2"],
+        ["relations", "--max-weight", "3"],
+        ["--format", "csv", "madan-pal", "--n", "7"],
+        ["madan-pal", "--n", "7"],
+        ["--format", "text", "madan-pal"],
+        ["madan-pal", "--n", "5", "--json"],
+        ["relations", "--max-weight", "three"],
+        ["--format", "text", "relations", "--max-weight", "2"],
+    ]
+    for i, args in enumerate(calls):
+        fresh = run_cli(args, tmp_path / f"fresh{i}")
+        assert main_in_process(args, tmp_path / "shared") == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        )
 
 
 def run_cli(args, tmp_path):

@@ -15,7 +15,13 @@ from orderone.intpoly import (
     prem,
     radical,
 )
-from polyroutes import interpolate, poly_sqrt, resultant
+from polyroutes import (
+    compose_by_products,
+    homogenize_by_products,
+    interpolate,
+    poly_sqrt,
+    resultant,
+)
 
 x = sp.symbols("x")
 
@@ -42,6 +48,20 @@ coeff = st.integers(min_value=-9, max_value=9)
 
 def nonzero_poly(max_deg=6):
     return st.lists(coeff, min_size=1, max_size=max_deg + 1).filter(lambda cs: any(cs)).map(IntPoly)
+
+
+def any_poly(max_deg):
+    """Any polynomial of degree at most max_deg, the zero polynomial included."""
+    return st.lists(coeff, max_size=max_deg + 1).map(IntPoly)
+
+
+# the quadratics the library transforms with, then monic and non-monic ones
+PINNED_QUADS = [IntPoly([2, 0, 1]), IntPoly([1, -4, 1]), IntPoly([1, 0, 1])]
+quadratic = st.one_of(
+    st.sampled_from(PINNED_QUADS),
+    st.builds(lambda c, b: IntPoly([c, b, 1]), coeff, coeff),
+    st.builds(lambda c, b, a: IntPoly([c, b, a]), coeff, coeff, coeff.filter(bool)),
+)
 
 
 def test_basic_arithmetic():
@@ -140,6 +160,32 @@ def test_dehomogenize_inverts_homogenize(r, b, c):
             dehomogenize(f * IntPoly([0, 1]), quad)
         with pytest.raises(ValueError):  # f(0) = r_d * quad(0)^d fails, same degree
             dehomogenize(f + 1, quad)
+
+
+@given(any_poly(7), any_poly(7))
+@settings(max_examples=80)
+def test_product_matches_sympy(a, b):
+    assert to_sympy(a * b) == sp.expand(to_sympy(a) * to_sympy(b))
+    assert a * b == b * a
+
+
+@given(any_poly(12), quadratic)
+@settings(max_examples=150)
+def test_homogenize_matches_product_route(r, quad):
+    assert homogenize(r, quad) == homogenize_by_products(r, quad)
+
+
+@given(any_poly(12), any_poly(3))
+@settings(max_examples=150)
+def test_compose_matches_product_route(f, inner):
+    """Inner polynomials from zero through constant, linear, quadratic and cubic."""
+    assert f.compose(inner) == compose_by_products(f, inner)
+
+
+@pytest.mark.parametrize("quad", [IntPoly(), IntPoly([3]), IntPoly([1, 1]), IntPoly([0, 0, 0, 1])])
+def test_homogenize_needs_a_quadratic(quad):
+    with pytest.raises(ValueError):
+        homogenize(IntPoly([1, 2, 1]), quad)
 
 
 def test_sqrt_rejects_non_square():

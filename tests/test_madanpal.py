@@ -4,8 +4,9 @@ import pytest
 
 from orderone.arith import euler_phi
 from orderone.cyclo import cyclotomic_poly
-from orderone.intpoly import IntPoly
+from orderone.intpoly import IntPoly, dehomogenize
 from orderone.madanpal import (
+    _real_weil_factor,
     build_record,
     is_eisenstein_at,
     madan_pal_poly,
@@ -13,7 +14,14 @@ from orderone.madanpal import (
     pn_at_one_check,
     simple_factor_list,
 )
-from polyroutes import interpolate, poly_sqrt, resultant
+from orderone.weil import F2, real_to_weil
+from polyroutes import (
+    compose_by_products,
+    homogenize_by_products,
+    interpolate,
+    poly_sqrt,
+    resultant,
+)
 
 
 def test_pinned_small_polynomials():
@@ -63,6 +71,20 @@ def madan_pal_poly_resultant_route(n: int) -> IntPoly:
 @pytest.mark.parametrize("n", list(range(3, 70)))
 def test_two_constructions_agree(n):
     assert madan_pal_poly(n) == madan_pal_poly_resultant_route(n)
+
+
+@pytest.mark.parametrize("n", range(1, 129))
+def test_transforms_match_product_routes(n):
+    """P_n, its real Weil transform P_n(3 - x) and the Weil polynomial agree
+    with Horner by whole `IntPoly` products."""
+    p = madan_pal_poly(n)
+    if n >= 3:
+        psi = dehomogenize(cyclotomic_poly(n), IntPoly([1, 0, 1]))
+        assert homogenize_by_products(psi, IntPoly([1, 0, 1])) == cyclotomic_poly(n)
+        assert p == homogenize_by_products(psi, IntPoly([1, -4, 1]))
+    real_weil = _real_weil_factor(p)
+    assert real_weil == compose_by_products(p, IntPoly([3, -1])).monic_normalized()
+    assert real_to_weil(real_weil, F2) == homogenize_by_products(real_weil, IntPoly([2, 0, 1]))
 
 
 @pytest.mark.parametrize("n", list(range(1, 101)) + [120, 128, 144, 169, 199, 200])
