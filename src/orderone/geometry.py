@@ -5,29 +5,39 @@ Two independent routes are reconciled for every class: a closed-form case
 split on n, and an oracle that measures the collapse of the eigenvalue field
 under base extension through exact radical degrees.
 
-The oracle first bounds every m-th extension's radical degree mod a prime p,
-from the power sums p_m, ..., p_dm (d = deg q0) in one int64 table of q0's power
-sums mod p that q0's recurrence fills one matrix-vector product per block.
-Entries stay below p, so nothing wraps while d (p-1)^2 < 2^63; Newton inversion
-needs p > d.  Reduction mod p can merge roots but never split them, so the
-modular radical degree r is at most the exact one and bounds the drop from
-above; exact radicals at the candidate maxima pin the result.  There the
-extension ext is built over Z and, when r divides d, the monic rad of degree r
-with power sums p_k(ext) / (d / r) is tried: rad^(d/r) = ext certifies it, as
-the exact radical degree is then at most r, hence equal to it, and rad is the
-radical.  Without that certificate (a non-integral quotient or power sum
-inversion, or an unequal power) the PRS radical of ext decides, so the PRS
-gcd runs only on Weil polynomials and on such fallbacks.
+The oracle first bounds every m-th extension's radical degree mod a prime p.
+One int64 table holds q0's power sums p_0, ..., p_N mod p (d = deg q0,
+N = (2d - 1) max(m_set)), which q0's recurrence fills one matrix-vector product
+per block.  Entries stay below p, so nothing wraps while d (p-1)^2 < 2^63, and
+the table also refuses p <= d.  Row m, p_0, p_m, ..., p_(2d-1)m, holds the power
+sums s_k of the m-th extension ext mod p.  Over F_p-bar, s_k = sum mu_g g^k
+over the distinct roots g of ext, with multiplicities 1 <= mu_g <= d < p, so
+every mu_g is a unit: the minimal recurrence of (s_k) is prod (x - g), and the
+linear complexity of the row is the number of distinct roots,
+d - deg gcd(ext, ext') mod p.  Berlekamp-Massey finds a complexity L <= d
+exactly from these 2d terms, for all rows in one pass; it reduces every product
+of two residues (< 2^50) mod p before summing, so nothing wraps there either.
+Reduction mod p can merge roots but never split them, so the modular radical
+degree r is at most the exact one and bounds the drop from above; exact
+radicals at the candidate maxima pin the result.  There the extension ext is
+built over Z and, when r divides d, the monic rad of degree r with power sums
+p_k(ext) / (d / r) is tried: rad^(d/r) = ext certifies it, as the exact radical
+degree is then at most r, hence equal to it, and rad is the radical.  Without
+that certificate (a non-integral quotient or power sum inversion, or an unequal
+power) the PRS radical of ext decides, so the PRS gcd runs only on Weil
+polynomials and on such fallbacks.
 
 The isogeny test looks for a root ratio alpha/beta of unity of order dividing
 some m in m_set.  That order divides one of the maximal elements of m_set under
 divisibility, and a ratio has order dividing M exactly when alpha^M = beta^M,
 that is, when the M-th extensions of the two Weil polynomials share a root.
-Their exact gcd is then monic of positive degree and stays so mod p, so a
-constant gcd mod p at every maximal M proves the pair not isogenous.  The
-maximal elements cover the same orders as lcm(m_set) would, with tables no
-longer than d max(m_set).  Every other pair gets the exact test, which folds
-T(q x) mod x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
+Each extension is built mod p by Newton inversion of p_M, ..., p_dM, which
+needs p > d.  Their exact gcd is then monic of positive degree and stays so
+mod p, so a constant gcd mod p at every maximal M proves the pair not
+isogenous.  The maximal elements cover the same orders as lcm(m_set) would,
+with tables no longer than d max(m_set).  Every other pair gets the exact
+test, which folds T(q x) mod x^dd - 1 before dividing by Phi_dd, which
+divides x^dd - 1.
 
 The oracle corrects the raw degree drop in two documented situations:
   * whenever the extended radical is a real Weil polynomial (linear, or
@@ -134,7 +144,12 @@ def _power_sum_table(q0: IntPoly, count: int, p: int) -> np.ndarray:
 
 def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
     """Monic polynomial mod p, lowest coefficient first, whose roots have power
-    sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d."""
+    sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d.
+
+    Only the pair screen uses it.  The profile inverts nothing: it reads each
+    distinct-root count off a (2d - 1) max(m_set) table as a linear
+    complexity, equal to d - deg gcd(ext, ext') since every multiplicity is a
+    unit mod p > d."""
     d = len(ps)
     inv = [0, 1]  # inv[k] = 1/k mod p, each from the inverse of p mod k
     for k in range(2, d + 1):
@@ -146,16 +161,51 @@ def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
     return coeffs[::-1]
 
 
+def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
+    """Linear complexity of each row of seqs (int64 residues mod p), by an
+    inversion-free Berlekamp-Massey run on all rows at once.
+
+    Each step replaces the connection polynomial lam by
+    gamma lam - delta x prev, a nonzero multiple of the textbook update
+    lam - (delta / gamma) x prev, so no inverse mod p is taken.  Every product
+    of two residues is reduced mod p before it is summed, which keeps every
+    intermediate in int64 for any p with (p - 1)^2 < 2^63.  A complexity above
+    half the row length is not fixed by the row and raises.
+    """
+    rows, count = seqs.shape
+    width = count // 2 + 1
+    rev = seqs[:, ::-1]
+    lam = np.zeros((rows, width), dtype=np.int64)
+    lam[:, 0] = 1
+    prev = lam.copy()  # lam before the last length change, shifted once per later step
+    gamma = np.ones((rows, 1), dtype=np.int64)
+    length = np.zeros((rows, 1), dtype=np.int64)
+    shifted = np.zeros_like(prev)
+    for k in range(count):
+        top = min(k + 1, width)
+        # delta = lam_0 s_k + lam_1 s_(k-1) + ..., as deg lam < top
+        window = rev[:, count - 1 - k:count - 1 - k + top]
+        delta = ((lam[:, :top] * window) % p).sum(axis=1, keepdims=True) % p
+        shifted[:, 1:] = prev[:, :-1]
+        grow = (delta != 0) & (2 * length <= k)
+        new = (gamma * lam % p - delta * shifted % p) % p
+        prev = np.where(grow, lam, shifted)
+        gamma = np.where(grow, delta, gamma)
+        length = np.where(grow, k + 1 - length, length)
+        lam = new
+    if (2 * length > count).any():
+        raise ArithmeticError("linear complexity above half the sequence length")
+    return length[:, 0]
+
+
 def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
-    """{m: degree of the squarefree part of the m-th base extension mod p}."""
+    """{m: degree of the squarefree part of the m-th base extension mod p}, as
+    the linear complexity of p_0, p_m, ..., p_(2d-1)m of q0 mod p."""
     d = q0.degree()
-    table = _power_sum_table(q0, d * max(m_set), p)
-    out = {}
-    for m in m_set:
-        ext = _from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
-        der = [(i * c) % p for i, c in enumerate(ext)][1:]
-        out[m] = d - max(_gcd_degree_mod_p(ext, der, p), 0)
-    return out
+    m_set = list(m_set)
+    table = _power_sum_table(q0, (2 * d - 1) * max(m_set), p)
+    seqs = np.stack([table[0:2 * d * m:m] for m in m_set])
+    return dict(zip(m_set, _linear_complexities_mod_p(seqs, p).tolist()))
 
 
 # -- exact verification at a chosen extension degree ---------------------------

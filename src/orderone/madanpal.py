@@ -22,7 +22,6 @@ from .weil import (
     F2,
     NewtonPolygon,
     WeilContext,
-    is_ordinary,
     newton_polygon,
     real_to_weil,
 )
@@ -99,14 +98,15 @@ def build_record(n: int, ctx: WeilContext = F2) -> MadanPalRecord:
         raise ArithmeticError(f"n={n}: P_n has degree {p.degree()}")
     if weil.eval(1) != 1:
         raise ArithmeticError(f"n={n}: order is not 1")
+    newton = newton_polygon(weil, ctx)
     return MadanPalRecord(
         n=n,
         p_n=p,
         real_weil=real_weil,
         weil=weil,
         simple_factors=factors,
-        newton=newton_polygon(weil, ctx),
-        ordinary=is_ordinary(weil, ctx),
+        newton=newton,
+        ordinary=newton.is_ordinary(),
     )
 
 

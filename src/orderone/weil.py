@@ -46,6 +46,10 @@ class NewtonPolygon:
     def total(self) -> int:
         return sum(m for _, m in self.segments)
 
+    def is_ordinary(self) -> bool:
+        """Every slope is 0 or 1."""
+        return all(s in (0, 1) for s in self.slopes())
+
 
 def newton_polygon(f: IntPoly, ctx: WeilContext) -> NewtonPolygon:
     """Slope data of f for the valuation normalized so that v(q) = 1.
@@ -84,7 +88,7 @@ def newton_polygon(f: IntPoly, ctx: WeilContext) -> NewtonPolygon:
 
 
 def is_ordinary(f: IntPoly, ctx: WeilContext) -> bool:
-    return all(s in (0, 1) for s in newton_polygon(f, ctx).slopes())
+    return newton_polygon(f, ctx).is_ordinary()
 
 
 def real_to_weil(r: IntPoly, ctx: WeilContext) -> IntPoly:

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from orderone.arith import divisors
@@ -217,6 +220,120 @@ def test_profile_table_matches_per_m_route(n):
         for p in PROFILE_PRIMES:
             profile = _radical_degree_profile(q0, ms, p)
             assert profile == {m: _radical_degree_mod_p(q0, m, p) for m in ms}, (n, p)
+
+
+def newton_gcd_profile(q0, m_set, p):
+    """Radical-degree profile by the per-m route: Newton inversion of
+    p_m, ..., p_dm mod p to the m-th extension, then d - deg gcd(ext, ext')."""
+    from orderone.geometry import _from_power_sums_mod_p, _gcd_degree_mod_p, _power_sum_table
+
+    d = q0.degree()
+    table = _power_sum_table(q0, d * max(m_set), p)
+    out = {}
+    for m in m_set:
+        ext = _from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
+        der = [(i * c) % p for i, c in enumerate(ext)][1:]
+        out[m] = d - max(_gcd_degree_mod_p(ext, der, p), 0)
+    return out
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)))
+def test_profile_matches_newton_gcd_route(n):
+    """Berlekamp-Massey on the power sums gives the per-m profile: at all three
+    primes for n <= 32, at PROFILE_PRIMES[0] up to n = 64."""
+    from orderone.geometry import PROFILE_PRIMES, _radical_degree_profile
+
+    ms = sorted(set(default_m_set(n)) | {1})
+    for q0 in _class_radicals(n):
+        for p in PROFILE_PRIMES if n <= 32 else PROFILE_PRIMES[:1]:
+            assert _radical_degree_profile(q0, ms, p) == newton_gcd_profile(q0, ms, p), (n, p)
+
+
+def hankel_rank_mod_p(seq, p):
+    """Rank mod p of the Hankel matrix (seq[i + j]) of size len(seq) // 2, by
+    Gaussian elimination."""
+    size = len(seq) // 2
+    rows = [[seq[i + j] % p for j in range(size)] for i in range(size)]
+    rank = 0
+    for col in range(size):
+        pivot = next((r for r in range(rank, size) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        top = [c * inv % p for c in rows[rank][col:]]
+        for r in range(rank + 1, size):
+            c = rows[r][col]
+            if c:
+                rows[r][col:] = [(x - c * y) % p for x, y in zip(rows[r][col:], top)]
+        rank += 1
+    return rank
+
+
+def _power_sum_sequence(nodes, mults, count, p):
+    """s_k = sum mu_i gamma_i^k mod p for k < count (0^0 = 1)."""
+    terms, out = [mu % p for mu in mults], []
+    for _ in range(count):
+        out.append(sum(terms) % p)
+        terms = [t * g % p for t, g in zip(terms, nodes)]
+    return out
+
+
+def test_linear_complexity_kernel_matches_hankel_rank():
+    """One batch mixing rows of different complexity: the all-zero row, a node
+    0, multiplicities up to d, a row of complexity exactly count / 2, a row at
+    count / 2 - 1, and rows whose first terms vanish, so that the complexity
+    jumps by more than one; nothing can leak across rows."""
+    import numpy as np
+
+    from orderone.geometry import PROFILE_PRIMES, _linear_complexities_mod_p
+
+    p = PROFILE_PRIMES[0]
+    d = 12
+    count = 2 * d
+    rng = random.Random(10)
+    specs = [
+        ([], []),
+        ([0], [1]),
+        ([0, 5, 7], [3, 1, d - 4]),
+        ([3], [d]),
+        ([p - 1, 1], [d // 2, d // 2]),
+        (rng.sample(range(1, p), d), [1] * d),
+        (rng.sample(range(p - 10 ** 6, p), d - 1), [rng.randint(1, d) for _ in range(d - 1)]),
+        ([0] + rng.sample(range(2, 1000), d - 1), [rng.randint(1, d) for _ in range(d)]),
+        ([2, 4, 8, 16, 32], [1, 2, 3, 4, 2]),
+        ([1, 2, 3], [1, -2, 1]),  # s_0 = s_1 = 0
+        # an (d - 1)-th finite difference: s_k = 0 for k < d - 1, complexity d
+        (list(range(1, d + 1)), [(-1) ** (d - 1 - j) * math.comb(d - 1, j) for j in range(d)]),
+    ]
+    seqs = [_power_sum_sequence(nodes, mults, count, p) for nodes, mults in specs]
+    want = [hankel_rank_mod_p(s, p) for s in seqs]
+    assert want == [len(nodes) for nodes, _ in specs]
+    got = _linear_complexities_mod_p(np.array(seqs, dtype=np.int64), p)
+    assert got.tolist() == want
+    for s, w in zip(seqs, want):
+        assert _linear_complexities_mod_p(np.array([s], dtype=np.int64), p).tolist() == [w]
+
+
+@pytest.mark.parametrize("p", [33554393, 3037000493])
+def test_linear_complexity_kernel_does_not_wrap(p):
+    """d around 200 with residues near p - 1, at PROFILE_PRIMES[0] and at the
+    largest prime with (p - 1)^2 < 2^63, where an unreduced discrepancy sum
+    would wrap int64."""
+    import numpy as np
+
+    from orderone.geometry import PROFILE_PRIMES, _linear_complexities_mod_p
+
+    d = 200
+    assert p in PROFILE_PRIMES[:1] or (p - 1) ** 2 < 2 ** 63 <= 2 * (p - 1) ** 2
+    rng = random.Random(p)
+    specs = [
+        (rng.sample(range(p - 10 ** 7, p), d), [rng.randint(1, d) for _ in range(d)]),
+        (rng.sample(range(p - 10 ** 7, p), d - 37), [rng.randint(1, d) for _ in range(d - 37)]),
+    ]
+    seqs = [_power_sum_sequence(nodes, mults, 2 * d, p) for nodes, mults in specs]
+    got = _linear_complexities_mod_p(np.array(seqs, dtype=np.int64), p)
+    assert got.tolist() == [hankel_rank_mod_p(s, p) for s in seqs] == [d, d - 37]
 
 
 def test_power_sum_table_matches_exact_power_sums():

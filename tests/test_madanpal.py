@@ -139,3 +139,22 @@ def test_eisenstein_example():
     assert build_record(8).real_weil == IntPoly([-14, 20, -2, -4, 1])
     assert is_eisenstein_at(IntPoly([-14, 20, -2, -4, 1]), 2)
     assert not is_eisenstein_at(IntPoly([4, -4, 1]), 2)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 8, 30, 32])
+def test_build_record_reads_ordinary_off_its_polygon(monkeypatch, n):
+    """One Newton polygon per record, and ordinary agrees with is_ordinary."""
+    from orderone import madanpal
+    from orderone.weil import is_ordinary, newton_polygon
+
+    calls = []
+
+    def counting(f, ctx):
+        calls.append(f)
+        return newton_polygon(f, ctx)
+
+    monkeypatch.setattr(madanpal, "newton_polygon", counting)
+    rec = build_record.__wrapped__(n)
+    assert calls == [rec.weil]
+    assert rec.ordinary == is_ordinary(rec.weil, F2)
+    assert rec == build_record(n)
