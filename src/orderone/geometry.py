@@ -1,6 +1,9 @@
 """Geometric decomposition multiplicities and geometric isogeny between the
 order-1 isogeny classes over F_2.
 
+Everything here works over F_2 (weil.F2): the family is P_n(3 - x) with
+3 = q + 1 for q = 2, and no other field gives these classes order 1.
+
 Two independent routes are reconciled for every class: a closed-form case
 split on n, and an oracle that measures the collapse of the eigenvalue field
 under base extension through exact radical degrees.
@@ -27,17 +30,15 @@ that certificate (a non-integral quotient or power sum inversion, or an unequal
 power) the PRS radical of ext decides, so the PRS gcd runs only on Weil
 polynomials and on such fallbacks.
 
-The isogeny test looks for a root ratio alpha/beta of unity of order dividing
-some m in m_set.  That order divides one of the maximal elements of m_set under
-divisibility, and a ratio has order dividing M exactly when alpha^M = beta^M,
-that is, when the M-th extensions of the two Weil polynomials share a root.
-Each extension is built mod p by Newton inversion of p_M, ..., p_dM, which
+The isogeny test looks for a root ratio alpha/beta that is a root of unity of
+order dividing SPORADIC_LCM = 2520, which every sporadic ratio order divides.
+A ratio has such an order exactly when alpha^2520 = beta^2520, that is, when
+the 2520-th extensions of the two Weil polynomials share a root.  Each
+extension is built mod p by Newton inversion of p_2520, ..., p_2520d, which
 needs p > d.  Their exact gcd is then monic of positive degree and stays so
-mod p, so a constant gcd mod p at every maximal M proves the pair not
-isogenous.  The maximal elements cover the same orders as lcm(m_set) would,
-with tables no longer than d max(m_set).  Every other pair gets the exact
-test, which folds T(q x) mod x^dd - 1 before dividing by Phi_dd, which
-divides x^dd - 1.
+mod p, so a constant gcd mod p proves the pair not isogenous.  Every other
+pair gets the exact test over the divisors dd of 2520, which folds T(q x)
+mod x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
 
 The oracle corrects the raw degree drop in two documented situations:
   * whenever the extended radical is a real Weil polynomial (linear, or
@@ -45,9 +46,6 @@ The oracle corrects the raw degree drop in two documented situations:
     apparent collapse doubles the true multiplicity;
   * the degree-4 class with Weil polynomial (x^2-2)^2 carries exponent e = 2
     already over the prime field, entering the count as e * deg / (e_m * rad).
-Classes whose Newton polygon is {1/g, 1-1/g} with g > 2 are geometrically
-simple outright, so the oracle short-circuits to 1 there: for those the raw
-drop measures a division-algebra thickening, not an actual splitting.
 """
 from __future__ import annotations
 
@@ -65,9 +63,8 @@ from .intpoly import IntPoly, from_power_sums, power_sums
 from .madanpal import build_record
 from .weil import (
     F2,
-    WeilContext,
     base_extension,
-    is_ordinary,
+    newton_polygon,
     np_forces_geom_simple,
     radical,
     real_to_weil,
@@ -76,19 +73,20 @@ from .weil import (
 # primes below 2^25: an int64 power-sum table stays exact up to degree 8191
 PROFILE_PRIMES = (33554393, 33554383, 33554371)
 
+# every sporadic ratio order divides it; the pair test probes its divisors
+SPORADIC_LCM = 2520
+_RATIO_ORDERS = tuple(divisors(SPORADIC_LCM))
 
-def default_m_set(n: int | None = None) -> list[int]:
-    """Base-extension degrees to probe.
 
-    Divisors of 2520 cover every sporadic ratio order; the one-parameter family
-    contributes ratios of order ord(-zeta_n), which need not divide 2520 (for
-    example 2n = 62 when n = 31), so the divisors of lcm(2n, 24) are added when
-    the class index n is known.
+def default_m_set(n: int) -> list[int]:
+    """Base-extension degrees to probe for the n-th class.
+
+    Divisors of SPORADIC_LCM cover every sporadic ratio order; the
+    one-parameter family contributes ratios of order ord(-zeta_n), which need
+    not divide 2520 (for example 2n = 62 when n = 31), so the divisors of
+    lcm(2n, 24) are added.
     """
-    base = set(divisors(2520))
-    if n is not None:
-        base.update(divisors(math.lcm(2 * n, 24)))
-    return sorted(base)
+    return sorted(set(_RATIO_ORDERS) | set(divisors(math.lcm(2 * n, 24))))
 
 
 # -- modular radical-degree profile -------------------------------------------
@@ -253,32 +251,26 @@ def _exact_drop(q0: IntPoly, m: int, rdeg: int) -> IntPoly:
     return rad
 
 
-def _extension_exponent(rad: IntPoly, m: int, q: int) -> int:
+def _extension_exponent(rad: IntPoly, m: int) -> int:
     """Honda-Tate exponent of the extended class: 2 for real Weil numbers."""
     if rad.degree() == 1:
         return 2
-    if rad == IntPoly([-(q ** m), 0, 1]):
+    if rad == IntPoly([-(F2.q ** m), 0, 1]):
         return 2
     return 1
 
 
-def _exact_f(q0: IntPoly, m: int, rdeg: int, e: int, q: int) -> int:
+def _exact_f(q0: IntPoly, m: int, rdeg: int, e: int) -> int:
     """Corrected multiplicity e * deg q0 / (e_m * deg rad) at extension degree m,
     rdeg being the radical degree there mod a profile prime."""
     rad = _exact_drop(q0, m, rdeg)
-    num, den = e * q0.degree(), _extension_exponent(rad, m, q) * rad.degree()
+    num, den = e * q0.degree(), _extension_exponent(rad, m) * rad.degree()
     if num % den:
         raise ArithmeticError("corrected multiplicity is not an integer")
     return num // den
 
 
-def f_oracle(
-    q0: IntPoly,
-    m_set=None,
-    e: int = 1,
-    weil_poly: IntPoly | None = None,
-    ctx: WeilContext = F2,
-) -> tuple[int, int]:
+def f_oracle(q0: IntPoly, m_set, e: int = 1) -> tuple[int, int]:
     """Geometric multiplicity from radical degrees: (f, smallest attaining m).
 
     q0 is the squarefree Weil polynomial of the class (radical of the full
@@ -287,12 +279,8 @@ def f_oracle(
     exact verification at the candidate maxima, so the result is exact while
     large extension degrees are never expanded over Z.
     """
-    if m_set is None:
-        m_set = default_m_set()
     m_set = sorted(set(m_set))
     d = q0.degree()
-    if weil_poly is not None and np_forces_geom_simple(weil_poly, ctx):
-        return 1, 1
 
     for p in PROFILE_PRIMES:
         # only a degenerate prime moves on: p <= d, or a radical degree of 0
@@ -304,18 +292,18 @@ def f_oracle(
         raise ArithmeticError("degenerate modular radical degree for every profile prime")
     upper = {m: Fraction(e * d, rdeg) for m, rdeg in profile.items()}
     # baseline at m = 1 (q0 is squarefree, but the exponent may act)
-    best_f, best_m = _exact_f(q0, 1, profile[1], e, ctx.q), 1
+    best_f, best_m = _exact_f(q0, 1, profile[1], e), 1
     for m in sorted(m_set, key=lambda m: (-upper[m], m)):
         if upper[m] <= best_f:
             break
-        fm = _exact_f(q0, m, profile[m], e, ctx.q)
+        fm = _exact_f(q0, m, profile[m], e)
         if fm > best_f:
             best_f, best_m = fm, m
     # smallest attaining m: check candidates below the current witness
     for m in m_set:
         if m >= best_m:
             break
-        if upper[m] >= best_f and _exact_f(q0, m, profile[m], e, ctx.q) == best_f:
+        if upper[m] >= best_f and _exact_f(q0, m, profile[m], e) == best_f:
             best_m = m
             break
     return best_f, best_m
@@ -356,34 +344,40 @@ class DecompositionReport:
         return self.f_formula == self.f_oracle
 
 
-def build_reports(n: int, ctx: WeilContext = F2) -> tuple[DecompositionReport, ...]:
-    """One report per distinct simple isogeny factor of the n-th class."""
-    return _build_reports_cached(n, ctx)
-
-
 @lru_cache(maxsize=None)
-def _build_reports_cached(n: int, ctx: WeilContext) -> tuple[DecompositionReport, ...]:
-    rec = build_record(n, ctx)
+def build_reports(n: int) -> tuple[DecompositionReport, ...]:
+    """One report per distinct simple isogeny factor of the n-th class.
+
+    A factor whose Newton polygon is {1/g, 1-1/g} with g > 2 is geometrically
+    simple outright, so its report has f = 1 at m = 1 without the oracle: for
+    those the raw drop measures a division-algebra thickening, not an actual
+    splitting.  The same polygon decides whether the factor is ordinary.
+    """
+    rec = build_record(n)
     seen = []
     out = []
     for factor in rec.simple_factors:
         if factor in seen:
             continue
         seen.append(factor)
-        weil = real_to_weil(factor, ctx)
+        weil = real_to_weil(factor, F2)
         q0 = radical(weil)
         e = weil.degree() // q0.degree()
-        if e > 1 and q0 != IntPoly([-ctx.p, 0, 1]):
+        if e > 1 and q0 != IntPoly([-F2.p, 0, 1]):
             # the only non-squarefree Weil polynomial among these classes is (x^2-p)^2
             raise ArithmeticError("unexpected non-squarefree Weil polynomial")
-        f_o, m_star = f_oracle(q0, default_m_set(n), e=e, weil_poly=weil, ctx=ctx)
+        polygon = newton_polygon(weil, F2)
+        if np_forces_geom_simple(polygon):
+            f_o, m_star = 1, 1
+        else:
+            f_o, m_star = f_oracle(q0, default_m_set(n), e=e)
         out.append(
             DecompositionReport(
                 n=n,
                 simple_factor=factor,
                 weil=weil,
                 dimension=weil.degree() // 2,
-                ordinary=is_ordinary(weil, ctx),
+                ordinary=polygon.is_ordinary(),
                 f_formula=f_from_formula(n),
                 f_oracle=f_o,
                 stabilizing_m=m_star,
@@ -396,14 +390,14 @@ def _build_reports_cached(n: int, ctx: WeilContext) -> tuple[DecompositionReport
 # -- geometric isogeny ----------------------------------------------------------
 
 
-def _scaled_ratio_poly(q1: IntPoly, q2: IntPoly, q: int) -> IntPoly:
+def _scaled_ratio_poly(q1: IntPoly, q2: IntPoly) -> IntPoly:
     """T(q x), whose roots are the ratios alpha/beta = alpha conj(beta) / q;
     q2 is real, so T is the composed product with power sums p_k(q1) p_k(q2)."""
     deg = q1.degree() * q2.degree()
     ps1 = power_sums(q1, deg)
     ps2 = power_sums(q2, deg)
     composed = from_power_sums([ps1[k] * ps2[k] for k in range(deg)], deg)
-    return IntPoly([c * q ** i for i, c in enumerate(composed.coeffs)])
+    return IntPoly([c * F2.q ** i for i, c in enumerate(composed.coeffs)])
 
 
 def _cyclotomic_divides(poly: IntPoly, dd: int) -> bool:
@@ -417,59 +411,41 @@ def _cyclotomic_divides(poly: IntPoly, dd: int) -> bool:
     return (IntPoly(folded) % cyc).is_zero()
 
 
-def _ratio_poly_cyclotomic_orders(q1: IntPoly, q2: IntPoly, orders, q: int) -> bool:
+def _has_root_of_unity_ratio(q1: IntPoly, q2: IntPoly) -> bool:
     """True iff some root ratio alpha/beta (alpha of q1, beta of q2) is a root
-    of unity of order dd in orders, that is, iff Phi_dd divides T(q x)."""
-    scaled = _scaled_ratio_poly(q1, q2, q)
-    return any(_cyclotomic_divides(scaled, dd) for dd in orders)
-
-
-@lru_cache(maxsize=None)
-def _ratio_orders(m_set: tuple[int, ...]) -> tuple[int, ...]:
-    """Orders of the roots of unity whose m-th power is 1 for some m in m_set."""
-    return tuple(sorted({dd for m in m_set for dd in divisors(m)}))
-
-
-@lru_cache(maxsize=None)
-def _maximal_degrees(m_set: tuple[int, ...]) -> tuple[int, ...]:
-    """The m in m_set that divide no other element; every order in
-    _ratio_orders(m_set) divides one of them."""
-    return tuple(m for m in m_set if not any(k != m and k % m == 0 for k in m_set))
+    of unity of order dd dividing SPORADIC_LCM, that is, iff Phi_dd divides
+    T(q x)."""
+    scaled = _scaled_ratio_poly(q1, q2)
+    return any(_cyclotomic_divides(scaled, dd) for dd in _RATIO_ORDERS)
 
 
 @lru_cache(maxsize=256)
-def _extension_mod_p(q: IntPoly, m: int, p: int) -> tuple[int, ...]:
-    """The m-th base extension of monic q mod p, lowest coefficient first."""
-    d = q.degree()
-    return tuple(_from_power_sums_mod_p(_power_sum_table(q, d * m, p)[m::m].tolist(), p))
+def _extension_mod_p(q: IntPoly, p: int) -> tuple[int, ...]:
+    """The SPORADIC_LCM-th base extension of monic q mod p, lowest
+    coefficient first."""
+    m = SPORADIC_LCM
+    return tuple(_from_power_sums_mod_p(_power_sum_table(q, q.degree() * m, p)[m::m].tolist(), p))
 
 
-def _no_shared_root_mod_p(q1: IntPoly, q2: IntPoly, degrees, p: int) -> bool:
+def _no_shared_root_mod_p(q1: IntPoly, q2: IntPoly, p: int) -> bool:
     """True only if no ratio alpha/beta (alpha of q1, beta of q2) has order
-    dividing any m in degrees: alpha^m = beta^m is a root shared by the m-th
+    dividing SPORADIC_LCM = M: alpha^M = beta^M is a root shared by the M-th
     extensions, and their exact gcd is monic, so it survives reduction mod p."""
-    return all(
-        _gcd_degree_mod_p(_extension_mod_p(q1, m, p), _extension_mod_p(q2, m, p), p) == 0
-        for m in degrees
-    )
+    return _gcd_degree_mod_p(_extension_mod_p(q1, p), _extension_mod_p(q2, p), p) == 0
 
 
-def geom_isogenous(n1: int, n2: int, m_set=None, ctx: WeilContext = F2) -> bool:
+def geom_isogenous(n1: int, n2: int) -> bool:
     """Nonzero geometric homomorphisms between some simple factors of the two
     classes, detected through a shared Frobenius-power eigenvalue.
 
     Equal geometric dimension of the simple geometric factors is a necessary
     condition and is used as a sound prefilter; the decisive test finds a root
-    ratio of unity of order dividing some m in m_set.  A factor pair whose
-    extensions at the maximal m share no root mod PROFILE_PRIMES[0] has no
-    such ratio and skips the exact test.
+    ratio of unity of order dividing SPORADIC_LCM.  A factor pair whose
+    SPORADIC_LCM-th extensions share no root mod PROFILE_PRIMES[0] has no such
+    ratio and skips the exact test.
     """
-    if m_set is None:
-        m_set = default_m_set()
-    m_set = tuple(sorted(set(m_set)))
-    orders = _ratio_orders(m_set)
     p = PROFILE_PRIMES[0]
-    reps1, reps2 = build_reports(n1, ctx), build_reports(n2, ctx)
+    reps1, reps2 = build_reports(n1), build_reports(n2)
     for i, r1 in enumerate(reps1):
         for j, r2 in enumerate(reps2):
             if n1 == n2 and i >= j:
@@ -478,11 +454,9 @@ def geom_isogenous(n1: int, n2: int, m_set=None, ctx: WeilContext = F2) -> bool:
                 continue  # geometric simple factors have different dimensions
             q1 = radical(r1.weil)
             q2 = radical(r2.weil)
-            if p > max(q1.degree(), q2.degree()) and _no_shared_root_mod_p(
-                q1, q2, _maximal_degrees(m_set), p
-            ):
+            if p > max(q1.degree(), q2.degree()) and _no_shared_root_mod_p(q1, q2, p):
                 continue
-            if _ratio_poly_cyclotomic_orders(q1, q2, orders, ctx.q):
+            if _has_root_of_unity_ratio(q1, q2):
                 return True
     return False
 
@@ -492,21 +466,21 @@ EXPECTED_GEOM_PAIRS = frozenset(
 )
 
 
-def geometric_isogeny_pairs(max_n: int = 30, ctx: WeilContext = F2) -> set[frozenset]:
+def geometric_isogeny_pairs(max_n: int = 30) -> set[frozenset]:
     """All unordered pairs {n1, n2} (n1 != n2, or same n across distinct simple
     factors) with nonzero geometric homomorphisms, for n up to max_n."""
     out = set()
     for n1 in range(1, max_n + 1):
         for n2 in range(n1, max_n + 1):
-            if geom_isogenous(n1, n2, ctx=ctx):
+            if geom_isogenous(n1, n2):
                 out.add(frozenset((n1, n2)))
     return out
 
 
-def ordinary_xor_geom_simple(n: int, ctx: WeilContext = F2) -> bool:
+def ordinary_xor_geom_simple(n: int) -> bool:
     """No simple factor is both ordinary and geometrically simple; factors of
     dimension at least 3 are exactly one of the two."""
-    for rep in build_reports(n, ctx):
+    for rep in build_reports(n):
         if rep.ordinary and rep.geom_simple:
             return False
         if rep.dimension >= 3 and not (rep.ordinary ^ rep.geom_simple):

@@ -9,6 +9,9 @@ pinned below and verified by exact multiplication.
 
 P_n is built from the minimal polynomial of 2*cos(2*pi/n), read off Phi_n.
 The test suite checks it against an independent resultant construction.
+
+The family lives over F_2 only (weil.F2): the shift 3 is q + 1 for q = 2, and
+over any other field these polynomials do not give order 1.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from .intpoly import IntPoly, dehomogenize, homogenize
 from .weil import (
     F2,
     NewtonPolygon,
-    WeilContext,
     newton_polygon,
     real_to_weil,
 )
@@ -84,10 +86,10 @@ class MadanPalRecord:
 
 
 @lru_cache(maxsize=None)
-def build_record(n: int, ctx: WeilContext = F2) -> MadanPalRecord:
+def build_record(n: int) -> MadanPalRecord:
     p = madan_pal_poly(n)
     real_weil = _real_weil_factor(p)
-    weil = real_to_weil(real_weil, ctx)
+    weil = real_to_weil(real_weil, F2)
     factors = tuple(_real_weil_factor(f) for f in simple_factor_list(n))
     prod = IntPoly([1])
     for f in factors:
@@ -98,7 +100,7 @@ def build_record(n: int, ctx: WeilContext = F2) -> MadanPalRecord:
         raise ArithmeticError(f"n={n}: P_n has degree {p.degree()}")
     if weil.eval(1) != 1:
         raise ArithmeticError(f"n={n}: order is not 1")
-    newton = newton_polygon(weil, ctx)
+    newton = newton_polygon(weil, F2)
     return MadanPalRecord(
         n=n,
         p_n=p,
@@ -130,11 +132,11 @@ def is_eisenstein_at(f: IntPoly, p: int) -> bool:
     )
 
 
-def newton_lemma_check(n: int, ctx: WeilContext = F2) -> bool:
+def newton_lemma_check(n: int) -> bool:
     """Newton polygon of A_n: ordinary unless n is a power of 2, in which case
     all slopes are 1/2^m or 1 - 1/2^m with m = max(1, log2(n) - 1); for
     n = 2^m with m >= 2 the shifted polynomial is also Eisenstein at 2."""
-    rec = build_record(n, ctx)
+    rec = build_record(n)
     if not _is_power_of_two(n):
         return rec.ordinary
     m = max(1, n.bit_length() - 2)

@@ -46,12 +46,6 @@ class RootOfUnity:
         """The root -e^(2*pi*i*num/den), i.e. multiplication by the order-2 root."""
         return self * RootOfUnity(2, 1)
 
-    def is_real(self) -> bool:
-        return self.den in (1, 2)
-
-    def angle(self) -> float:
-        return 2.0 * math.pi * self.num / self.den
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 

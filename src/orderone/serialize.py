@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,12 @@ def _enc_int(c: int):
 
 
 def _dec_int(v) -> int:
-    return int(v)
+    """An int (not a bool) or a decimal string, as _enc_int writes them."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"expected an integer or a decimal string, got {v!r}")
 
 
 def encode_poly(p: IntPoly) -> list:
@@ -47,6 +53,8 @@ def encode_poly(p: IntPoly) -> list:
 
 
 def decode_poly(v) -> IntPoly:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of coefficients, got {v!r}")
     return IntPoly([_dec_int(c) for c in v])
 
 

@@ -241,13 +241,7 @@ def base_extension(qpoly: IntPoly, n: int) -> IntPoly:
     return qpoly
 
 
-def np_forces_geom_simple(f: IntPoly, ctx: WeilContext) -> bool:
+def np_forces_geom_simple(polygon: NewtonPolygon) -> bool:
     """Newton polygon criterion: slopes exactly {1/g: g, 1-1/g: g} with g > 2."""
-    if f.degree() % 2:
-        return False
-    g = f.degree() // 2
-    if g <= 2:
-        return False
-    np_ = newton_polygon(f, ctx)
-    want = ((Fraction(1, g), g), (Fraction(g - 1, g), g))
-    return np_.segments == want
+    g = polygon.total() // 2
+    return g > 2 and polygon.segments == ((Fraction(1, g), g), (Fraction(g - 1, g), g))

@@ -242,6 +242,22 @@ def test_cli_decompose(tmp_path):
     assert all(rep["f_formula"] == rep["f_oracle"] == 3 for rep in doc["reports"])
 
 
+def test_cli_verify_theorem_pairs_stdout_is_pinned(tmp_path):
+    status, out, _ = main_in_process(["verify-theorem", "--max-n", "32", "--pairs"], tmp_path)
+    assert status == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "58c5aae4086d5eb5106e5180d86136a707169b1a42b90be0f4c62dd526ce1199"
+
+
+def test_cli_verify_theorem_pairs_below_30(tmp_path):
+    """Below n = 30 the listed pairs are checked against the paper's pairs
+    with both indices in range."""
+    status, out, _ = main_in_process(["verify-theorem", "--max-n", "10", "--pairs"], tmp_path)
+    doc = json.loads(out)
+    assert status == 0 and doc["geometric_pairs_ok"] is True
+    assert doc["geometric_pairs"] == [[1, 2], [1, 4], [2, 4], [6, 7], [7]]
+
+
 def test_cli_usage_error(tmp_path):
     res = run_cli(["relations", "--max-weight", "9"], tmp_path)
     assert res.returncode == 2
@@ -270,6 +286,17 @@ def test_cli_weil(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["extended"] == [4, 0, 1]
     assert doc["newton"] == [["1/2", 2]]
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[[1], 1]", "[1.5, 1]", "[true, 1]"])
+def test_cli_weil_rejects_a_malformed_poly(tmp_path, text):
+    """A poly file that is not a list of integers or decimal strings is a
+    usage error naming the bad value, not a traceback or a silent cast."""
+    poly = tmp_path / "p.json"
+    poly.write_text(text)
+    res = run_cli(["weil", "--poly", str(poly), "--newton"], tmp_path)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: expected ") and res.stderr.count("\n") == 1
 
 
 NOT_A_CONTEXT = "error: need a prime p and exponent a >= 1\n"

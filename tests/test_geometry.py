@@ -31,9 +31,9 @@ def test_formula_case_split():
 
 
 def test_default_m_set_contains_parametric_orders():
-    assert 2520 in default_m_set()
     for n in (11, 22, 25, 29, 31):
         ms = default_m_set(n)
+        assert 2520 in ms, n
         assert any(m % (2 * n) == 0 or m % n == 0 for m in ms), n
 
 
@@ -46,7 +46,7 @@ def naive_oracle(q0, m_set):
     for m in sorted(m_set):
         ext = base_extension(q0, m)
         rad = radical(ext)
-        em = _extension_exponent(rad, m, 2)
+        em = _extension_exponent(rad, m)
         fm = d // (em * rad.degree())
         if fm > best:
             best, best_m = fm, m
@@ -60,7 +60,7 @@ def test_oracle_matches_naive_profile(n):
         weil = real_to_weil(factor, F2)
         q0 = radical(weil)
         small = [m for m in default_m_set(n) if m <= 64]
-        got = f_oracle(q0, small, e=1, weil_poly=weil)
+        got = f_oracle(q0, small, e=1)
         want = naive_oracle(q0, small)
         assert got[0] == want[0]
         assert got[1] == want[1]
@@ -119,7 +119,7 @@ def test_np_geom_simple_powers_of_two():
 
     for n in (8, 16, 32, 64):
         rec = build_record(n)
-        assert np_forces_geom_simple(rec.weil, F2), n
+        assert np_forces_geom_simple(rec.newton), n
 
 
 def test_divisors():
@@ -401,13 +401,12 @@ def test_fold_agrees_with_direct_division():
     """Folding mod x^dd - 1 before dividing by Phi_dd gives the same verdict as
     dividing directly, for every order on every pair the prefilter passes."""
     from orderone.cyclo import cyclotomic_poly
-    from orderone.geometry import _cyclotomic_divides, _ratio_orders, _scaled_ratio_poly
+    from orderone.geometry import _RATIO_ORDERS, _cyclotomic_divides, _scaled_ratio_poly
 
-    orders = _ratio_orders(tuple(default_m_set()))
     tested = hits = 0
     for n1, n2, q1, q2 in _prefiltered_factor_pairs(30):
-        scaled = _scaled_ratio_poly(q1, q2, 2)
-        for dd in orders:
+        scaled = _scaled_ratio_poly(q1, q2)
+        for dd in _RATIO_ORDERS:
             direct = (scaled % cyclotomic_poly(dd)).is_zero()
             assert _cyclotomic_divides(scaled, dd) == direct, (n1, n2, dd)
             tested += 1
@@ -463,23 +462,23 @@ def test_exact_drop_rejects_a_wrong_power(monkeypatch):
 
 
 def test_pair_screen_negatives_are_exact_negatives():
+    """The screen at the one degree 2520 covers every ratio order dividing it,
+    and a pair it proves apart has no such ratio in the exact test."""
     from orderone.geometry import (
         EXPECTED_GEOM_PAIRS,
         PROFILE_PRIMES,
-        _maximal_degrees,
+        SPORADIC_LCM,
+        _RATIO_ORDERS,
+        _has_root_of_unity_ratio,
         _no_shared_root_mod_p,
-        _ratio_orders,
-        _ratio_poly_cyclotomic_orders,
     )
 
-    m_set = tuple(default_m_set())
-    assert _maximal_degrees(m_set) == (2520,)
-    orders = _ratio_orders(m_set)
+    assert SPORADIC_LCM == 2520 and _RATIO_ORDERS == tuple(divisors(2520))
     passed, negatives = set(), 0
     for n1, n2, q1, q2 in _prefiltered_factor_pairs(30):
-        if _no_shared_root_mod_p(q1, q2, _maximal_degrees(m_set), PROFILE_PRIMES[0]):
+        if _no_shared_root_mod_p(q1, q2, PROFILE_PRIMES[0]):
             negatives += 1
-            assert not _ratio_poly_cyclotomic_orders(q1, q2, orders, 2), (n1, n2)
+            assert not _has_root_of_unity_ratio(q1, q2), (n1, n2)
         else:
             passed.add(frozenset((n1, n2)))
     assert negatives > 0

@@ -1,7 +1,11 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import orderone
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_library_has_no_assert_statements():
@@ -12,3 +16,11 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_benchmark_tracer_installs():
+    """Every function the benchmark tracer wraps still exists and still has an
+    import site, so a refactor that drops one fails here, not in the benchmark."""
+    code = 'import sys; sys.path[:0] = ["perfbench", "src"]; import tracer; tracer.install(tracer.Tracer())'
+    res = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

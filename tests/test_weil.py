@@ -150,9 +150,9 @@ def test_radical_degree_monotone_under_coarsening():
 
 def test_np_forces_geom_simple():
     w8 = IntPoly([16, -32, 24, -8, 2, -4, 6, -4, 1])
-    assert np_forces_geom_simple(w8, F2)
-    assert not np_forces_geom_simple(IntPoly([4, 0, -4, 0, 1]), F2)  # g = 2
-    assert not np_forces_geom_simple(IntPoly([4, -6, 5, -3, 1]), F2)  # ordinary
+    assert np_forces_geom_simple(newton_polygon(w8, F2))
+    assert not np_forces_geom_simple(newton_polygon(IntPoly([4, 0, -4, 0, 1]), F2))  # g = 2
+    assert not np_forces_geom_simple(newton_polygon(IntPoly([4, -6, 5, -3, 1]), F2))  # ordinary
 
 
 def test_real_and_weil_polygon_slopes_agree_below_half():
