@@ -9,11 +9,14 @@ split on n, and an oracle that measures the collapse of the eigenvalue field
 under base extension through exact radical degrees.
 
 The oracle first bounds every m-th extension's radical degree mod a prime p.
-One int64 table holds q0's power sums p_0, ..., p_N mod p (d = deg q0,
-N = (2d - 1) max(m_set)), which q0's recurrence fills one matrix-vector product
-per block.  Entries stay below p, so nothing wraps while d (p-1)^2 < 2^63, and
-the table also refuses p <= d.  Row m, p_0, p_m, ..., p_(2d-1)m, holds the power
-sums s_k of the m-th extension ext mod p.  Over F_p-bar, s_k = sum mu_g g^k
+Row m, q0's power sums p_0, p_m, ..., p_(2d-1)m mod p (d = deg q0), holds the
+power sums s_k of the m-th extension ext mod p.  Only these entries are read,
+by baby steps and giant steps over q0's companion shift C: for the largest
+index N = (2d - 1) max(m_set) and B = isqrt(N) + 1, p_(aB+b) is the row
+e_0^T C^(aB) times the window (p_b, ..., p_(b+d-1)), so about 2 sqrt(N) sums
+and rows are built in int64, not all N sums.  Residues stay below p and every
+product sums d terms below (p-1)^2, so nothing wraps while d (p-1)^2 < 2^63;
+the reader also refuses p <= d.  Over F_p-bar, s_k = sum mu_g g^k
 over the distinct roots g of ext, with multiplicities 1 <= mu_g <= d < p, so
 every mu_g is a unit: the minimal recurrence of (s_k) is prod (x - g), and the
 linear complexity of the row is the number of distinct roots,
@@ -34,11 +37,12 @@ The isogeny test looks for a root ratio alpha/beta that is a root of unity of
 order dividing SPORADIC_LCM = 2520, which every sporadic ratio order divides.
 A ratio has such an order exactly when alpha^2520 = beta^2520, that is, when
 the 2520-th extensions of the two Weil polynomials share a root.  Each
-extension is built mod p by Newton inversion of p_2520, ..., p_2520d, which
-needs p > d.  Their exact gcd is then monic of positive degree and stays so
-mod p, so a constant gcd mod p proves the pair not isogenous.  Every other
-pair gets the exact test over the divisors dd of 2520, which folds T(q x)
-mod x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
+extension is built mod p by Newton inversion of p_2520, ..., p_2520d, read by
+the same baby-step/giant-step reader, which needs p > d.  Their exact gcd is
+then monic of positive degree and stays so mod p, so a constant gcd mod p
+proves the pair not isogenous.  Every other pair gets the exact test over the
+divisors dd of 2520, which folds T(q x) mod x^dd - 1 before dividing by
+Phi_dd, which divides x^dd - 1.
 
 The oracle corrects the raw degree drop in two documented situations:
   * whenever the extended radical is a real Weil polynomial (linear, or
@@ -56,6 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import divisors
 from .cyclo import cyclotomic_poly
@@ -70,7 +75,7 @@ from .weil import (
     real_to_weil,
 )
 
-# primes below 2^25: an int64 power-sum table stays exact up to degree 8191
+# primes below 2^25: a sum of d products of residues stays below 2^63 up to degree 8191
 PROFILE_PRIMES = (33554393, 33554383, 33554371)
 
 # every sporadic ratio order divides it; the pair test probes its divisors
@@ -90,9 +95,6 @@ def default_m_set(n: int) -> list[int]:
 
 
 # -- modular radical-degree profile -------------------------------------------
-
-_BLOCK = 256  # power sums produced per matrix-vector product
-
 
 def _gcd_degree_mod_p(f, fp, p):
     """Degree of gcd of coefficient lists f, fp over F_p."""
@@ -119,25 +121,50 @@ def _gcd_degree_mod_p(f, fp, p):
     return len(a) - 1 if a else -1
 
 
-def _power_sum_table(q0: IntPoly, count: int, p: int) -> np.ndarray:
-    """Power sums p_0..p_count of the roots of monic q0 mod p, as int64; past
-    p_d they follow p_j = -(c_0 p_{j-d} + ... + c_{d-1} p_{j-1})."""
+def _power_sums_at(q0: IntPoly, idx, p: int) -> np.ndarray:
+    """Power sums p_j of the roots of monic q0 mod p, for every j in idx, a
+    nonnegative integer array of one or more dimensions, as int64 of its shape.
+
+    Baby steps and giant steps over the companion shift C, which takes a state
+    (p_j, ..., p_(j+d-1)) to (p_(j+1), ..., p_(j+d)): with B = isqrt(max idx) + 1,
+    p_(aB+b) = r_a . (p_b, ..., p_(b+d-1)) for the row r_a = e_0^T C^(aB).  The
+    baby sums p_0, ..., p_(B+d-2) and the giant rows r_0, r_1, ... each double
+    per matrix product, so only about 2 sqrt(max idx) + d sums and rows are
+    built.  Every residue is below p, so a product sums d terms below (p-1)^2
+    and cannot wrap while d (p-1)^2 < 2^63; p > d keeps every root
+    multiplicity, at most d, a unit mod p.
+    """
     d = q0.degree()
     if p <= d or d * (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"prime {p} out of range for an int64 power-sum table of degree {d}")
-    table = np.empty(count + 1, dtype=np.int64)
-    table[0] = d % p
-    table[1:d + 1] = [s % p for s in power_sums(q0, min(d, count))]
-    # row t expresses p_{k-d+1+t} through the state (p_{k-d+1}, ..., p_k)
-    rows = np.eye(d + _BLOCK, d, dtype=np.int64)
-    step = np.array([-c % p for c in q0.coeffs[:d]], dtype=np.int64)
-    for t in range(d, d + _BLOCK):
-        rows[t] = (step @ rows[t - d:t]) % p
-    rows = rows[d:]
-    for k in range(d, count, _BLOCK):
-        size = min(_BLOCK, count - k)
-        table[k + 1:k + 1 + size] = (rows[:size] @ table[k - d + 1:k + 1]) % p
-    return table
+        raise ValueError(f"prime {p} out of range for int64 power sums of degree {d}")
+    idx = np.asarray(idx, dtype=np.int64)
+    top = int(idx.max())
+    step = math.isqrt(top) + 1
+    shift = np.eye(d, k=1, dtype=np.int64)
+    shift[-1] = [-c % p for c in q0.coeffs[:d]]
+    sums = np.array([d] + [s % p for s in power_sums(q0, d - 1)], dtype=np.int64)
+    # C^B by square-and-multiply.  Each square C^(2^t) also doubles the baby
+    # sums, as the last row of C^k continues each of the k windows by k, and
+    # B < 2^(bit length of B), so the squares reach the B + d - 1 sums needed.
+    square, jump = shift, np.eye(d, dtype=np.int64)
+    for t in range(step.bit_length()):
+        if t:
+            square = (square @ square) % p
+        if step >> t & 1:
+            jump = (jump @ square) % p
+        if len(sums) < step + d - 1:
+            sums = np.concatenate([sums, (sliding_window_view(sums, d) @ square[-1]) % p])
+    rows = np.eye(1, d, dtype=np.int64)
+    while len(rows) <= top // step:
+        rows = np.concatenate([rows, (rows @ jump) % p])
+        jump = (jump @ jump) % p
+    windows = sliding_window_view(sums, d)
+    flat = idx.reshape(-1, idx.shape[-1])
+    out = np.empty(flat.shape, dtype=np.int64)
+    for row, js in zip(out, flat):  # one row at a time keeps the gathered rows small
+        a, b = np.divmod(js, step)
+        row[:] = np.einsum("ij,ij->i", rows[a], windows[b]) % p
+    return out.reshape(idx.shape)
 
 
 def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
@@ -145,9 +172,9 @@ def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
     sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d.
 
     Only the pair screen uses it.  The profile inverts nothing: it reads each
-    distinct-root count off a (2d - 1) max(m_set) table as a linear
-    complexity, equal to d - deg gcd(ext, ext') since every multiplicity is a
-    unit mod p > d."""
+    distinct-root count off the 2d power sums p_0, p_m, ..., p_(2d-1)m as a
+    linear complexity, equal to d - deg gcd(ext, ext') since every
+    multiplicity is a unit mod p > d."""
     d = len(ps)
     inv = [0, 1]  # inv[k] = 1/k mod p, each from the inverse of p mod k
     for k in range(2, d + 1):
@@ -199,10 +226,8 @@ def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
 def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
     """{m: degree of the squarefree part of the m-th base extension mod p}, as
     the linear complexity of p_0, p_m, ..., p_(2d-1)m of q0 mod p."""
-    d = q0.degree()
     m_set = list(m_set)
-    table = _power_sum_table(q0, (2 * d - 1) * max(m_set), p)
-    seqs = np.stack([table[0:2 * d * m:m] for m in m_set])
+    seqs = _power_sums_at(q0, np.outer(m_set, np.arange(2 * q0.degree())), p)
     return dict(zip(m_set, _linear_complexities_mod_p(seqs, p).tolist()))
 
 
@@ -423,8 +448,8 @@ def _has_root_of_unity_ratio(q1: IntPoly, q2: IntPoly) -> bool:
 def _extension_mod_p(q: IntPoly, p: int) -> tuple[int, ...]:
     """The SPORADIC_LCM-th base extension of monic q mod p, lowest
     coefficient first."""
-    m = SPORADIC_LCM
-    return tuple(_from_power_sums_mod_p(_power_sum_table(q, q.degree() * m, p)[m::m].tolist(), p))
+    ps = _power_sums_at(q, SPORADIC_LCM * np.arange(1, q.degree() + 1), p)
+    return tuple(_from_power_sums_mod_p(ps.tolist(), p))
 
 
 def _no_shared_root_mod_p(q1: IntPoly, q2: IntPoly, p: int) -> bool:

@@ -222,13 +222,40 @@ def test_profile_table_matches_per_m_route(n):
             assert profile == {m: _radical_degree_mod_p(q0, m, p) for m in ms}, (n, p)
 
 
+BLOCK = 256  # power sums produced per matrix-vector product
+
+
+def power_sum_table(q0, count, p):
+    """Dense power sums p_0..p_count of the roots of monic q0 mod p, as int64;
+    past p_d they follow p_j = -(c_0 p_{j-d} + ... + c_{d-1} p_{j-1}), one
+    block per matrix-vector product.  The oracle for the sparse reader."""
+    import numpy as np
+
+    from orderone.intpoly import power_sums
+
+    d = q0.degree()
+    table = np.empty(count + 1, dtype=np.int64)
+    table[0] = d % p
+    table[1:d + 1] = [s % p for s in power_sums(q0, min(d, count))]
+    # row t expresses p_{k-d+1+t} through the state (p_{k-d+1}, ..., p_k)
+    rows = np.eye(d + BLOCK, d, dtype=np.int64)
+    step = np.array([-c % p for c in q0.coeffs[:d]], dtype=np.int64)
+    for t in range(d, d + BLOCK):
+        rows[t] = (step @ rows[t - d:t]) % p
+    rows = rows[d:]
+    for k in range(d, count, BLOCK):
+        size = min(BLOCK, count - k)
+        table[k + 1:k + 1 + size] = (rows[:size] @ table[k - d + 1:k + 1]) % p
+    return table
+
+
 def newton_gcd_profile(q0, m_set, p):
     """Radical-degree profile by the per-m route: Newton inversion of
     p_m, ..., p_dm mod p to the m-th extension, then d - deg gcd(ext, ext')."""
-    from orderone.geometry import _from_power_sums_mod_p, _gcd_degree_mod_p, _power_sum_table
+    from orderone.geometry import _from_power_sums_mod_p, _gcd_degree_mod_p
 
     d = q0.degree()
-    table = _power_sum_table(q0, d * max(m_set), p)
+    table = power_sum_table(q0, d * max(m_set), p)
     out = {}
     for m in m_set:
         ext = _from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
@@ -337,33 +364,124 @@ def test_linear_complexity_kernel_does_not_wrap(p):
 
 
 def test_power_sum_table_matches_exact_power_sums():
-    from orderone.geometry import PROFILE_PRIMES, _BLOCK, _power_sum_table
+    from orderone.geometry import PROFILE_PRIMES
     from orderone.intpoly import power_sums
 
     p = PROFILE_PRIMES[0]
     for n in (1, 3, 7, 31):
         for q0 in _class_radicals(n):
             d = q0.degree()
-            for count in (1, d - 1, d, 2 * _BLOCK, 3 * _BLOCK + 5, d + _BLOCK):
+            for count in (1, d - 1, d, 2 * BLOCK, 3 * BLOCK + 5, d + BLOCK):
                 if count < 1:
                     continue
-                table = _power_sum_table(q0, count, p)
+                table = power_sum_table(q0, count, p)
                 assert table.dtype.name == "int64" and len(table) == count + 1
                 want = [d % p] + [s % p for s in power_sums(q0, count)]
                 assert table.tolist() == want, (n, count)
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 31])
+def test_power_sums_at_matches_exact_power_sums(n):
+    """The sparse reader against the exact power sums mod p, at the seams of
+    its baby steps and giant steps: j < d, j = d, B - 1, B, B + 1, multiples
+    of B and the top index, repeated and unsorted indices, [0] alone and a 2-D
+    index array.  Every set holds the top index, so B = isqrt(top) + 1 is the
+    same for all; the small top gives B < d for n = 31."""
+    import numpy as np
+
+    from orderone.geometry import PROFILE_PRIMES, _power_sums_at
+    from orderone.intpoly import power_sums
+
+    for q0 in _class_radicals(n):
+        d = q0.degree()
+        for top in (3 * d + 1, 2 * 2520 + 3):
+            exact = [d] + power_sums(q0, top)
+            b = math.isqrt(top) + 1
+            index_sets = [
+                list(range(d)) + [top],
+                [d, top],
+                [b - 1, b, b + 1, top],
+                list(range(0, top + 1, b)) + [top],
+                [top, 5, b, 0, top, 5, d, b + 1],
+                [[0, b - 1, top], [b, d, b + 1]],
+            ]
+            for p in PROFILE_PRIMES:
+                for idx in index_sets:
+                    got = _power_sums_at(q0, idx, p)
+                    want = np.array([exact[j] % p for j in np.ravel(idx)]).reshape(np.shape(idx))
+                    assert got.dtype.name == "int64" and got.shape == want.shape
+                    assert got.tolist() == want.tolist(), (n, top, p, idx)
+        for p in PROFILE_PRIMES:
+            assert _power_sums_at(q0, [0], p).tolist() == [d]
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)))
+def test_power_sums_at_matches_dense_table(n):
+    """The profile grid k m (k < 2d, m in the class's m_set) and the
+    2520-screen sums p_2520k (1 <= k <= d) equal the dense table's entries."""
+    import numpy as np
+
+    from orderone.geometry import PROFILE_PRIMES, SPORADIC_LCM, _power_sums_at
+
+    p = PROFILE_PRIMES[0]
+    ms = sorted(set(default_m_set(n)) | {1})
+    for q0 in _class_radicals(n):
+        d = q0.degree()
+        table = power_sum_table(q0, (2 * d - 1) * max(ms), p)
+        grid = np.outer(ms, np.arange(2 * d))
+        assert _power_sums_at(q0, grid, p).tolist() == table[grid].tolist(), n
+        screen = SPORADIC_LCM * np.arange(1, d + 1)
+        assert _power_sums_at(q0, screen, p).tolist() == table[screen].tolist(), n
+
+
 def test_profile_guard_rejects_primes_that_could_wrap():
-    from orderone.geometry import _power_sum_table, _radical_degree_profile
+    from orderone.geometry import _power_sums_at, _radical_degree_profile
 
     q0 = _class_radicals(7)[0]
     d = q0.degree()
     for p in (2 ** 61 - 1, 2 ** 31 - 1, 3037000493):  # d (p-1)^2 >= 2^63
         assert d * (p - 1) ** 2 >= 2 ** 63
         with pytest.raises(ValueError):
+            _power_sums_at(q0, [0, 4 * d], p)
+        with pytest.raises(ValueError):
             _radical_degree_profile(q0, [1, 2], p)
-    with pytest.raises(ValueError):
-        _power_sum_table(q0, 4 * d, 2)  # p <= d: no Newton inversion mod p
+    for p in (2, 5):  # p <= d: a multiplicity up to d need not be a unit mod p
+        assert p <= d
+        with pytest.raises(ValueError):
+            _power_sums_at(q0, [0, 4 * d], p)
+
+
+def test_f_oracle_moves_past_a_degenerate_prime(monkeypatch):
+    """A radical degree of 0 at PROFILE_PRIMES[0] sends the oracle to
+    PROFILE_PRIMES[1], with the same result; degenerate at every prime, it
+    raises."""
+    from orderone import geometry
+
+    q0, ms = _class_radicals(7)[0], default_m_set(7)
+    want = geometry.f_oracle(q0, ms)
+    real, asked = geometry._radical_degree_profile, []
+
+    def degenerate_first(q, m_set, p):
+        asked.append(p)
+        profile = real(q, m_set, p)
+        if p == geometry.PROFILE_PRIMES[0]:
+            profile[max(m_set)] = 0
+        return profile
+
+    monkeypatch.setattr(geometry, "_radical_degree_profile", degenerate_first)
+    assert geometry.f_oracle(q0, ms) == want
+    assert asked == list(geometry.PROFILE_PRIMES[:2])
+
+    asked.clear()
+
+    def degenerate(q, m_set, p):
+        asked.append(p)
+        return dict.fromkeys(m_set, 0)
+
+    monkeypatch.setattr(geometry, "_radical_degree_profile", degenerate)
+    with pytest.raises(ArithmeticError, match="degenerate modular radical degree for every profile prime"):
+        geometry.f_oracle(q0, ms)
+    assert asked == list(geometry.PROFILE_PRIMES)
 
 
 def test_f_oracle_does_not_retry_exact_failures(monkeypatch):

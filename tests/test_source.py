@@ -24,3 +24,18 @@ def test_benchmark_tracer_installs():
     code = 'import sys; sys.path[:0] = ["perfbench", "src"]; import tracer; tracer.install(tracer.Tracer())'
     res = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_geometry_defines_no_dense_power_sum_table():
+    """The profile and the pair screen read power sums mod p through the sparse
+    reader alone; the dense table is the tests' oracle, not a second library route."""
+    tree = ast.parse((Path(orderone.__file__).parent / "geometry.py").read_text())
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert "_power_sums_at" in defined
+    assert defined.isdisjoint({"_power_sum_table", "_BLOCK"})
