@@ -352,6 +352,13 @@ def f_from_formula(n: int) -> int:
     return 2
 
 
+@lru_cache(maxsize=None)
+def _squarefree_weil(weil: IntPoly) -> IntPoly:
+    """q0, the radical of a factor's Weil polynomial, by one PRS gcd per
+    factor: build_reports and every pair test of geom_isogenous read it."""
+    return radical(weil)
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     n: int
@@ -386,7 +393,7 @@ def build_reports(n: int) -> tuple[DecompositionReport, ...]:
             continue
         seen.append(factor)
         weil = real_to_weil(factor, F2)
-        q0 = radical(weil)
+        q0 = _squarefree_weil(weil)
         e = weil.degree() // q0.degree()
         if e > 1 and q0 != IntPoly([-F2.p, 0, 1]):
             # the only non-squarefree Weil polynomial among these classes is (x^2-p)^2
@@ -477,8 +484,8 @@ def geom_isogenous(n1: int, n2: int) -> bool:
                 continue  # same class is trivially isogenous; need distinct factors
             if r1.dimension * r2.f_oracle != r2.dimension * r1.f_oracle:
                 continue  # geometric simple factors have different dimensions
-            q1 = radical(r1.weil)
-            q2 = radical(r2.weil)
+            q1 = _squarefree_weil(r1.weil)
+            q2 = _squarefree_weil(r2.weil)
             if p > max(q1.degree(), q2.degree()) and _no_shared_root_mod_p(q1, q2, p):
                 continue
             if _has_root_of_unity_ratio(q1, q2):

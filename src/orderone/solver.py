@@ -11,6 +11,7 @@ within given order bounds by exhaustive search: a vectorized floating filter
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycInt, cyclotomic_poly, root_sum
+from .cyclo import CycInt, cyclotomic_poly
 from .intpoly import IntPoly
 from .madanpal import build_record
 from .roots import RootOfUnity
@@ -86,12 +87,18 @@ class LaurentExpr:
         return LaurentExpr.make(out)
 
     def eval_at(self, t: "SolutionTriple") -> CycInt:
-        m, ks = _exponents(t)
-        parts = [
-            (c, RootOfUnity.make(e[0] * ks[0] + e[1] * ks[1] + e[2] * ks[2], m))
-            for e, c in self.terms
-        ]
-        return root_sum(parts) if parts else CycInt.zero()
+        """The value at t, its terms folded into one coefficient vector at the
+        level n = lcm of the orders: a term with exponents e adds its
+        coefficient at index e . ks mod n, with eta_j = e^(2 pi i k_j / n).
+        A term is a plain monomial, with no sign -1 to place as a root the
+        way a generator image has, so n needs no factor 2 and the reduction
+        tables are those of the orders' own levels."""
+        n = t.level()
+        k1, k2, k3 = (r.num * (n // r.den) for r in (t.eta1, t.eta2, t.eta3))
+        coeffs = [0] * n
+        for (e1, e2, e3), c in self.terms:
+            coeffs[(e1 * k1 + e2 * k2 + e3 * k3) % n] += c
+        return CycInt(n, tuple(coeffs))
 
     def __repr__(self):
         bits = []
@@ -151,16 +158,17 @@ def apply_symmetry(k: int, obj):
         return obj.substitute(images)
     if isinstance(obj, SolutionTriple):
         m, ks = _exponents(obj)
-        return _from_exponents(m, _act(k, m, ks))
+        return _from_keys([_root_key(m, _act(k, m, ks))])[0]
     raise TypeError(f"cannot apply symmetry to {type(obj)!r}")
 
 
 def _act(k: int, m: int, ks: tuple[int, int, int]) -> tuple[int, int, int]:
     """The k-th generator on the point (e^(2 pi i k_j / m))_j, m even, as
     exponents over m: a sign -1 is e^(2 pi i (m/2) / m)."""
+    k1, k2, k3 = ks
     return tuple(
-        ((m // 2 if sign < 0 else 0) + e[0] * ks[0] + e[1] * ks[1] + e[2] * ks[2]) % m
-        for sign, e in GENERATORS[k]
+        ((m // 2 if sign < 0 else 0) + e1 * k1 + e2 * k2 + e3 * k3) % m
+        for sign, (e1, e2, e3) in GENERATORS[k]
     )
 
 
@@ -258,15 +266,30 @@ class SolutionTriple:
         return math.lcm(*self.orders())
 
 
-def _exponents(t: SolutionTriple) -> tuple[int, tuple[int, int, int]]:
+Vector = tuple[int, tuple[int, int, int]]  # (m, (k1, k2, k3)): eta_j = e^(2 pi i k_j / m)
+
+
+def _exponents(t: SolutionTriple) -> Vector:
     """(m, (k1, k2, k3)) with eta_j = e^(2 pi i k_j / m) and m = lcm(2, orders),
     so that every image of t under the generators has exponents over m too."""
     m = math.lcm(2, *t.orders())
     return m, tuple(r.num * (m // r.den) for r in (t.eta1, t.eta2, t.eta3))
 
 
-def _from_exponents(m: int, ks: tuple[int, int, int]) -> SolutionTriple:
-    return SolutionTriple(*(RootOfUnity.make(k, m) for k in ks))
+def _root_key(m: int, ks: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
+    """(order, numerator) of each coordinate of the point (m, ks), 0 <= k_j < m:
+    the fields of its reduced roots, so also the sort key of its triple."""
+    key = []
+    for k in ks:
+        g = math.gcd(k, m)
+        key.append((m // g, k // g))
+    return tuple(key)
+
+
+def _from_keys(keys) -> list[SolutionTriple]:
+    """The triples of root keys, in their order; equal roots are one object."""
+    roots: dict[tuple[int, int], RootOfUnity] = {}
+    return [SolutionTriple(*(roots.get(dn) or roots.setdefault(dn, RootOfUnity(*dn)) for dn in key)) for key in keys]
 
 
 @dataclass(frozen=True, order=True)
@@ -343,49 +366,83 @@ def _order_pair_rows(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...], tuple
     k2s = _primitive_residues(b)
     k1s = tuple(k for k in _primitive_residues(a) if 2 * k <= a)  # a prefix: residues ascend
     x = _unit_roots(a)[: len(k1s), None]
-    y = _unit_roots(b)[None, :]
-    p = (x + y).ravel()
-    q = (x * y).ravel()
-    return np.stack([p.real, -p.imag, q.real, -q.imag, np.ones(p.size)], axis=1), k1s, k2s
+    y = _unit_roots(b)
+    rows = np.ones((len(k1s) * len(k2s), 5))
+    # a complex column viewed as floats is (Re, Im) pairs, so its conjugate gives (Re, -Im)
+    rows[:, 0:2] = (x + y).conj().reshape(-1, 1).view(float)
+    rows[:, 2:4] = (x * y).conj().reshape(-1, 1).view(float)
+    return rows, k1s, k2s
 
 
-def _solve_order_pair(task) -> list[tuple[int, int, int, int, int, int]]:
-    """Confirmed zeros (a, k1, b, k2, c, k3) for one order pair (a, b) and
-    every eta3 order c in the task, prefiltered on one float grid whose
-    columns are the primitive roots of all those c, in blocks of at most
-    PREFILTER_BLOCK points."""
+def _solve_order_pair(task) -> list[Vector]:
+    """Confirmed zeros (m, (k1, k2, k3)) over m = lcm(2, a, b, c) for one
+    order pair (a, b) and every eta3 order c in the task, prefiltered on one
+    float grid whose columns are the primitive roots of all those c, in
+    blocks of at most PREFILTER_BLOCK points."""
     a, b, cs = task
     rows, k1s, k2s = _order_pair_rows(a, b)
     cols = np.concatenate([_eta3_columns(c) for c in cs], axis=1)
-    sizes = [len(_primitive_residues(c)) for c in cs]
-    ends = np.cumsum(sizes)
+    ends = list(itertools.accumulate(len(_primitive_residues(c)) for c in cs))
     width = max(1, PREFILTER_BLOCK // len(rows))
+    m_ab = math.lcm(2, a, b)
     out = []
     for start in range(0, cols.shape[1], width):
         half_g = rows @ cols[:, start : start + width]
-        for row, col in zip(*np.nonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2)):
-            col = int(col) + start
-            i = int(np.searchsorted(ends, col, side="right"))
+        hit_rows, hit_cols = np.nonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2)
+        for row, col in zip(hit_rows.tolist(), hit_cols.tolist()):
+            col += start
+            i = bisect.bisect_right(ends, col)
             c = cs[i]
             k1, k2 = k1s[row // len(k2s)], k2s[row % len(k2s)]
-            k3 = _primitive_residues(c)[col - ends[i] + sizes[i]]
-            t = SolutionTriple(RootOfUnity.make(k1, a), RootOfUnity.make(k2, b), RootOfUnity.make(k3, c))
-            if is_solution(t):
-                out.append((a, k1, b, k2, c, k3))
+            k3 = _primitive_residues(c)[col - (ends[i - 1] if i else 0)]
+            # a primitive residue is already the reduced numerator of its root
+            if is_solution(SolutionTriple(RootOfUnity(a, k1), RootOfUnity(b, k2), RootOfUnity(c, k3))):
+                m = math.lcm(m_ab, c)
+                out.append((m, (k1 * (m // a), k2 * (m // b), k3 * (m // c))))
     return out
 
 
 def _order_pair_tasks(max_order_12: int, max_order_3: int, max_level: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """(a, b, cs) for every order pair a <= b <= max_order_12, with cs every
-    eta3 order c <= max_order_3 for which lcm(a, b, c) <= max_level."""
+    eta3 order c <= max_order_3 for which lcm(a, b, c) <= max_level.  The cs
+    depend on lcm(a, b) only, so each is computed once per lcm."""
     tasks = []
+    by_lcm: dict[int, tuple[int, ...]] = {}
     for a in range(1, max_order_12 + 1):
         for b in range(a, max_order_12 + 1):
             lab = math.lcm(a, b)
-            cs = tuple(c for c in range(1, max_order_3 + 1) if math.lcm(lab, c) <= max_level)
+            cs = by_lcm.get(lab)
+            if cs is None:
+                cs = by_lcm[lab] = tuple(c for c in range(1, max_order_3 + 1) if math.lcm(lab, c) <= max_level)
             if cs:
                 tasks.append((a, b, cs))
     return tasks
+
+
+def _solution_orbits(max_order_12: int, max_order_3: int, max_level: int, workers: int) -> list[tuple[Vector, ...]]:
+    """Every confirmed zero of the search with its inversion and swap images:
+    its orbit under those two commuting involutions, as exponent vectors.
+
+    Inversion and swap only permute the orders, and both order bounds on
+    eta1, eta2 are max_order_12, so every image of a base solution is inside
+    the bounds.  All four images share m = lcm(2, a, b, c), so equal points
+    have equal vectors."""
+    if min(max_order_12, max_order_3, max_level) < 1:
+        raise ValueError("bounds must be positive")
+    tasks = _order_pair_tasks(max_order_12, max_order_3, max_level)
+    if workers > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(workers) as pool:
+            chunks = pool.map(_solve_order_pair, tasks)
+    else:
+        chunks = [_solve_order_pair(t) for t in tasks]
+    orbits = []
+    for chunk in chunks:
+        for m, ks in chunk:
+            swapped = _act(1, m, ks)
+            orbits.append(((m, ks), (m, _act(0, m, ks)), (m, swapped), (m, _act(0, m, swapped))))
+    return orbits
 
 
 def solve_bounded(
@@ -401,31 +458,13 @@ def solve_bounded(
     triple with order(eta1) <= order(eta2), eta1 in the lower half of its
     inversion orbit, and then re-expands by the inversion and swap
     symmetries.  Each order pair (a, b) is one task: a float prefilter over
-    all its eta3 orders, then exact confirmation of every candidate.
+    all its eta3 orders, then exact confirmation of every candidate by
+    is_solution.  Confirmed zeros and their images stay integer exponent
+    vectors (m, (k1, k2, k3)) over m = lcm(2, orders); each distinct one
+    becomes a SolutionTriple once, in sorted order, for the returned list.
     """
-    if min(max_order_12, max_order_3, max_level) < 1:
-        raise ValueError("bounds must be positive")
-    tasks = _order_pair_tasks(max_order_12, max_order_3, max_level)
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            chunks = pool.map(_solve_order_pair, tasks)
-    else:
-        chunks = [_solve_order_pair(t) for t in tasks]
-    # Inversion and swap only permute the orders, and both order bounds on
-    # eta1, eta2 are max_order_12, so every image of a base solution is
-    # inside the bounds.  Images are collected as exponent vectors over
-    # m = lcm(2, a, b, c), the same m for every image and for every base
-    # reaching the same triple, and each distinct one is built once.
-    found = set()
-    for chunk in chunks:
-        for a, k1, b, k2, c, k3 in chunk:
-            m = math.lcm(2, a, b, c)
-            ks = (k1 * (m // a), k2 * (m // b), k3 * (m // c))
-            swapped = _act(1, m, ks)
-            found.update(((m, ks), (m, _act(0, m, ks)), (m, swapped), (m, _act(0, m, swapped))))
-    return sorted(_from_exponents(m, ks) for m, ks in found)
+    orbits = _solution_orbits(max_order_12, max_order_3, max_level, workers)
+    return _from_keys(sorted({_root_key(m, ks) for orbit in orbits for m, ks in orbit}))
 
 
 # -- classification ------------------------------------------------------------
@@ -454,9 +493,22 @@ def _family_maps() -> tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, i
             )
             if img not in seen:
                 seen.append(img)
-    if not all(any(abs(e) == 1 for _, e in phi) for phi in seen):
-        raise ArithmeticError("a family map has no coordinate that determines zeta")
+    if not all(abs(phi[0][1]) == 1 for phi in seen):
+        raise ArithmeticError("a family map whose first coordinate does not determine zeta")
     return tuple(seen)
+
+
+def _on_family(m: int, ks: tuple[int, int, int]) -> bool:
+    """is_parametric of the point (m, ks), m even."""
+    half = m // 2
+    for phi in _family_maps():
+        # k_j = (m/2 if s_j < 0) + e_j z (mod m), z the exponent of zeta over
+        # m; the first coordinate has e_1 = +-1, so it fixes z and holds
+        (s1, e1), (s2, e2), (s3, e3) = phi
+        z = e1 * (ks[0] - (half if s1 < 0 else 0))
+        if ks[1] == ((half if s2 < 0 else 0) + e2 * z) % m and ks[2] == ((half if s3 < 0 else 0) + e3 * z) % m:
+            return True
+    return False
 
 
 def is_parametric(t: SolutionTriple) -> bool:
@@ -465,18 +517,26 @@ def is_parametric(t: SolutionTriple) -> bool:
     That orbit is {phi(zeta)} over the four _family_maps, because the
     generators act by signed monomial substitution, which commutes with
     specialising zeta.  So t is parametric iff t = phi(zeta) for some map
-    phi and root of unity zeta: a coordinate with exponent +-1 fixes zeta
-    over m = lcm(2, orders), and the other two must then agree mod m."""
-    m, ks = _exponents(t)
-    half = m // 2
-    for phi in _family_maps():
-        # k_j = (m/2 if s_j < 0) + e_j z (mod m), z the exponent of zeta over m
-        offsets = [k - (half if s < 0 else 0) for k, (s, _) in zip(ks, phi)]
-        i = next(j for j, (_, e) in enumerate(phi) if abs(e) == 1)
-        z = phi[i][1] * offsets[i]
-        if all((o - e * z) % m == 0 for o, (_, e) in zip(offsets, phi)):
-            return True
-    return False
+    phi and root of unity zeta: the first coordinate has exponent +-1 and
+    fixes zeta over m = lcm(2, orders), and the other two must then agree
+    mod m."""
+    return _on_family(*_exponents(t))
+
+
+def _patterns(signatures) -> list[SolutionPattern]:
+    """The patterns of ((order1, order2, order3), parametric) signatures."""
+    sporadic: dict[tuple[int, int], set[int]] = {}
+    parametric: dict[tuple[int, int], set[int]] = {}
+    for (a, b, c), verdict in signatures:
+        key = (min(a, b), max(a, b))
+        bucket = parametric if verdict else sporadic
+        bucket.setdefault(key, set()).add(c)
+    out = []
+    for (a, b), cs in sorted(parametric.items()):
+        out.append(SolutionPattern(a, b, tuple(sorted(cs)), "parametric"))
+    for (a, b), cs in sorted(sporadic.items()):
+        out.append(SolutionPattern(a, b, tuple(sorted(cs)), "sporadic"))
+    return out
 
 
 def classify_solutions(sols, verdicts: dict[SolutionTriple, bool] | None = None) -> list[SolutionPattern]:
@@ -486,21 +546,8 @@ def classify_solutions(sols, verdicts: dict[SolutionTriple, bool] | None = None)
     order1 <= order2, with the full set of eta3 orders per (order1, order2).
     verdicts, when given, holds is_parametric of every solution.
     """
-    if verdicts is None:
-        verdicts = {t: is_parametric(t) for t in sols}
-    sporadic: dict[tuple[int, int], set[int]] = {}
-    parametric: dict[tuple[int, int], set[int]] = {}
-    for t in sols:
-        a, b, c = t.orders()
-        key = (min(a, b), max(a, b))
-        bucket = parametric if verdicts[t] else sporadic
-        bucket.setdefault(key, set()).add(c)
-    out = []
-    for (a, b), cs in sorted(parametric.items()):
-        out.append(SolutionPattern(a, b, tuple(sorted(cs)), "parametric"))
-    for (a, b), cs in sorted(sporadic.items()):
-        out.append(SolutionPattern(a, b, tuple(sorted(cs)), "sporadic"))
-    return out
+    parametric = is_parametric if verdicts is None else verdicts.__getitem__
+    return _patterns((t.orders(), parametric(t)) for t in sols)
 
 
 # known sporadic order patterns: (order of eta1, order of eta2,
@@ -518,6 +565,21 @@ SPORADIC_ORDER_PATTERNS: tuple[SolutionPattern, ...] = (
 )
 
 
+def _family_vectors(max_order_12: int, max_order_3: int, max_level: int) -> set[Vector]:
+    """The exponent vectors of expected_parametric."""
+    out: set[Vector] = set()
+    for n in range(1, 2 * max(max_order_12, max_order_3) + 1):
+        m = math.lcm(2, n)  # lcm(2, orders) of every phi(zeta): its first coordinate is zeta^(+-1)
+        zs = [k * (m // n) for k in _primitive_residues(n)]
+        for (s1, e1), (s2, e2), (s3, e3) in _family_maps():
+            o1, o2, o3 = (m // 2 if s < 0 else 0 for s in (s1, s2, s3))
+            d1, d2, d3 = (m // math.gcd(o + e * (m // n), m) for o, e in ((o1, e1), (o2, e2), (o3, e3)))
+            if max(d1, d2) > max_order_12 or d3 > max_order_3 or math.lcm(d1, d2, d3) > max_level:
+                continue
+            out.update((m, ((o1 + e1 * z) % m, (o2 + e2 * z) % m, (o3 + e3 * z) % m)) for z in zs)
+    return out
+
+
 def expected_parametric(max_order_12: int, max_order_3: int, max_level: int) -> set[SolutionTriple]:
     """The symmetry orbit of the one-parameter family (zeta, zeta, -zeta)
     within bounds, for zeta of every order n <= 2 max(max_order_12, max_order_3).
@@ -527,32 +589,32 @@ def expected_parametric(max_order_12: int, max_order_3: int, max_level: int) -> 
     The orders of phi(zeta) depend only on the order n of zeta, so each
     (n, phi) is kept or dropped by an integer bound test on zeta = e^(2 pi i / n)
     before any of its phi(n) triples is built."""
-    out: set[SolutionTriple] = set()
-    for n in range(1, 2 * max(max_order_12, max_order_3) + 1):
-        m = math.lcm(2, n)
-        for phi in _family_maps():
-            offsets = [m // 2 if s < 0 else 0 for s, _ in phi]
-            o1, o2, o3 = (m // math.gcd(o + e * (m // n), m) for o, (_, e) in zip(offsets, phi))
-            if max(o1, o2) > max_order_12 or o3 > max_order_3 or math.lcm(o1, o2, o3) > max_level:
-                continue
-            for k in _primitive_residues(n):
-                z = k * (m // n)
-                out.add(_from_exponents(m, tuple(o + e * z for o, (_, e) in zip(offsets, phi))))
-    return out
+    return set(_from_keys(_root_key(m, ks) for m, ks in _family_vectors(max_order_12, max_order_3, max_level)))
 
 
 def verify_table2(
     max_order_12: int = 32, max_order_3: int = 32, max_level: int = 120, workers: int = 1
 ) -> dict:
-    """Recompute the sporadic order patterns and the parametric locus within bounds."""
-    sols = solve_bounded(max_order_12, max_order_3, max_level, workers=workers)
-    verdicts = {t: is_parametric(t) for t in sols}
-    patterns = classify_solutions(sols, verdicts)
+    """Recompute the sporadic order patterns and the parametric locus within bounds.
+
+    The solutions are those of solve_bounded, by the same search, and they
+    stay exponent vectors up to the returned list.  The parametric verdict is
+    decided once per inversion/swap orbit: the family is the symmetry orbit
+    of (zeta, zeta, -zeta), a union of orbits of the whole group, so every
+    image of a solution gets the verdict of the solution.  The family found
+    is compared with expected_parametric as a set of exponent vectors over
+    m = lcm(2, orders), one vector per point.
+    """
+    verdicts: dict[Vector, bool] = {}
+    for orbit in _solution_orbits(max_order_12, max_order_3, max_level, workers):
+        verdicts.update(dict.fromkeys(orbit, _on_family(*orbit[0])))
+    keyed = sorted((_root_key(m, ks), verdict) for (m, ks), verdict in verdicts.items())
+    sols = _from_keys(key for key, _ in keyed)
+    patterns = _patterns(((a, b, c), verdict) for ((a, _), (b, _), (c, _)), verdict in keyed)
     sporadic = tuple(p for p in patterns if p.kind == "sporadic")
-    found_parametric = {t for t in sols if verdicts[t]}
-    want_parametric = expected_parametric(max_order_12, max_order_3, max_level)
+    found_parametric = {v for v, verdict in verdicts.items() if verdict}
     ok_sporadic = sporadic == SPORADIC_ORDER_PATTERNS
-    ok_parametric = found_parametric == want_parametric
+    ok_parametric = found_parametric == _family_vectors(max_order_12, max_order_3, max_level)
     return {
         "solutions": sols,
         "patterns": patterns,

@@ -186,6 +186,17 @@ def main_in_process(args, cache):
     return status, out.getvalue(), err.getvalue()
 
 
+def test_cli_verify_table2_past_the_known_finding_is_pinned(tmp_path):
+    """Byte-for-byte stdout of `verify-table2 --max-order3 42`: the (6, 7)
+    pattern gains eta3 order 42, so the claim fails with exit status 1."""
+    status, out, _ = main_in_process(["verify-table2", "--max-order3", "42"], tmp_path)
+    assert status == 1
+    doc = json.loads(out)
+    assert (doc["sporadic_ok"], doc["parametric_ok"]) == (False, True)
+    assert {"order1": 6, "order2": 7, "orders3": [21, 42], "kind": "sporadic"} in doc["patterns"]
+    assert hashlib.sha256(out.encode()).hexdigest() == "c095cff9c3841e6fba88fca72553115240a7208a5373ed26d7307dd15f97084d"
+
+
 def test_cli_madan_pal_stdout_is_pinned(tmp_path):
     """Byte-for-byte stdout of `madan-pal --n K` for K = 1..128, concatenated,
     on a fresh cache and again from the cache."""

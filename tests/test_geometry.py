@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from orderone import geometry
 from orderone.arith import divisors
 from orderone.geometry import (
+    EXPECTED_GEOM_PAIRS,
     build_reports,
     default_m_set,
     f_from_formula,
     f_oracle,
     geom_isogenous,
+    geometric_isogeny_pairs,
     ordinary_xor_geom_simple,
 )
 from orderone.intpoly import IntPoly, radical
@@ -107,6 +110,17 @@ def test_geom_isogenous_examples():
 def test_geom_isogenous_symmetric():
     assert geom_isogenous(1, 4) == geom_isogenous(4, 1)
     assert geom_isogenous(3, 30) == geom_isogenous(30, 3)
+
+
+def test_pair_table_runs_no_prs_radical_after_the_reports(monkeypatch):
+    """build_reports finds each factor's q0 by one PRS gcd, and the pair
+    tests read that q0 again instead of running their own."""
+    for n in range(1, 31):
+        build_reports(n)
+    calls = []
+    monkeypatch.setattr(geometry, "radical", lambda f: calls.append(f) or radical(f))
+    assert geometric_isogeny_pairs(30) == set(EXPECTED_GEOM_PAIRS)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", list(range(1, 33)))

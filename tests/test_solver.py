@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from orderone.solver import (
     PREFILTER_ERROR_BOUND,
     PREFILTER_TOLERANCE,
     SPORADIC_ORDER_PATTERNS,
+    SolutionPattern,
     SolutionTriple,
     apply_symmetry,
     candidate_h_set,
@@ -166,6 +168,27 @@ def test_verify_table2_full():
     assert tuple(sporadic) == SPORADIC_ORDER_PATTERNS
 
 
+def test_verify_table2_past_the_known_finding():
+    """(32, 42, 120) reaches eta3 order 42, where the (6, 7) pattern gains 24
+    solutions that classify_solutions, normalizing by the swap only, does not
+    fold into the pinned pattern: sporadic_ok is False, parametric_ok True.
+    The solutions and patterns are pinned byte for byte by their repr."""
+    result = verify_table2(32, 42, 120)
+    assert (result["sporadic_ok"], result["parametric_ok"], result["ok"]) == (False, True, False)
+    sporadic = [p for p in result["patterns"] if p.kind == "sporadic"]
+    assert [p for p in sporadic if p not in SPORADIC_ORDER_PATTERNS] == [SolutionPattern(6, 7, (21, 42), "sporadic")]
+    assert [p for p in SPORADIC_ORDER_PATTERNS if p not in sporadic] == [SolutionPattern(6, 7, (21,), "sporadic")]
+    sols = result["solutions"]
+    assert len(sols) == 835
+    assert sum(sorted(t.orders()) == [6, 7, 42] for t in sols) == 24
+    assert hashlib.sha256(repr(sols).encode()).hexdigest() == (
+        "76a0a61b48d11d86632e4933590fcbed8554c317da81a56ea16f94eedc7cfb60"
+    )
+    assert hashlib.sha256(repr(result["patterns"]).encode()).hexdigest() == (
+        "2d912ee4c263641941bb7acc59ad8319a44a074e93665eca597c2eef97366d6e"
+    )
+
+
 def test_sporadic_levels_divide_known_conductor_doublings():
     result = verify_table2(32, 32, 120)
     allowed = (30, 42, 24, 15, 21)
@@ -221,6 +244,43 @@ def test_expected_parametric_matches_found():
     found = {t for t in solve_bounded(6, 6, 24) if is_parametric(t)}
     want = expected_parametric(6, 6, 24)
     assert found == want
+
+
+@pytest.mark.parametrize("box, candidates", [((32, 32, 120), 363), ((12, 12, 60), 66)])
+def test_prefilter_candidate_counts_are_pinned(monkeypatch, box, candidates):
+    """The benchmark counts is_solution calls as prefilter candidates and its
+    true answers as confirmations.  verify_table2, the benchmark's op, and
+    solve_bounded send each box's pinned number of candidates, every one a
+    zero, so the prefilter still sends each candidate once and keeps no
+    false one."""
+    verdicts = []
+
+    def recording_is_solution(t):
+        verdicts.append(is_solution(t))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver, "is_solution", recording_is_solution)
+    verify_table2(*box)
+    assert len(verdicts) == candidates and all(verdicts)
+    verdicts.clear()
+    solve_bounded(*box)
+    assert len(verdicts) == candidates and all(verdicts)
+
+
+def test_parametric_verdict_is_constant_on_symmetry_images():
+    """verify_table2 decides is_parametric once per inversion/swap orbit.  The
+    family is the symmetry orbit of (zeta, zeta, -zeta), a union of orbits of
+    the whole group, so every image of a solution shares its verdict; the
+    inversion and swap images of a solution are solutions of the same box."""
+    sols = solve_bounded(46, 46, 244)
+    found = set(sols)
+    for t in sols:
+        verdict = is_parametric(t)
+        swapped = apply_symmetry(1, t)
+        for img in (apply_symmetry(0, t), swapped, apply_symmetry(0, swapped)):
+            assert img in found, (t, img)
+            assert is_parametric(img) == verdict, (t, img)
+        assert is_parametric(apply_symmetry(2, t)) == verdict, t
 
 
 def test_workers_do_not_change_results():
@@ -318,6 +378,14 @@ def power_route_eval_g(t):
     return root_sum(parts)
 
 
+def fourteen_root_eval_g(t):
+    """The confirmation route the fold replaced: one RootOfUnity per term of
+    g, at its exponent over m = lcm(2, orders), summed by root_sum."""
+    m = math.lcm(2, *t.orders())
+    ks = [e.num * (m // e.order) for e in (t.eta1, t.eta2, t.eta3)]
+    return root_sum([(c, r(e[0] * ks[0] + e[1] * ks[1] + e[2] * ks[2], m)) for e, c in g_expr().terms])
+
+
 def small_box_triples(max_order):
     return [
         SolutionTriple(r(k1, a), r(k2, b), r(k3, c))
@@ -341,6 +409,13 @@ def test_generator_action_on_triples_matches_hand_formulas():
 def test_eval_g_matches_power_route():
     for t in small_box_triples(5):
         assert eval_g(t) == power_route_eval_g(t), t
+
+
+def test_folded_eval_g_matches_fourteen_root_sum():
+    for t in small_box_triples(7):
+        got, want = eval_g(t), fourteen_root_eval_g(t)
+        assert got == want, t
+        assert got.is_zero() == want.is_zero(), t
 
 
 @pytest.mark.parametrize("block", [solver.PREFILTER_BLOCK, 7])
