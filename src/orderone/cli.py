@@ -1,5 +1,12 @@
 """Command-line front end.
 
+The parsed `argparse.Namespace` is the whole run configuration: each
+subparser names its handler with `set_defaults(handler=...)`, and every handler
+reads its options, `format`, `cache_dir` and `workers` off the namespace.
+`--format` is the only output switch.  `relations`, `madan-pal`, `solve-g`
+and `decompose` have a CSV form; `--format csv` on any other subcommand is a
+usage error.
+
 Exit status 0 means every requested computation succeeded and every verified
 claim was reproduced; 1 means the computation ran but contradicted a recorded
 claim; 2 is a usage error.  Output is deterministic for a given configuration,
@@ -10,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,19 +35,12 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-    fmt: str
-    cache: Path
-    workers: int
-
-
-def _emit(doc, fmt: str, csv_rows=None) -> None:
-    if fmt == "json":
+def _emit(ns: argparse.Namespace, doc, csv_rows=None) -> None:
+    if ns.format == "json":
         print(json.dumps({"schema": serialize.SCHEMA, **doc}, sort_keys=True, indent=1))
-    elif fmt == "csv" and csv_rows is not None:
+    elif ns.format == "csv":
+        if csv_rows is None:
+            raise ValueError(f"{ns.command} has no CSV form; use --format json or text")
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -49,19 +48,19 @@ def _emit(doc, fmt: str, csv_rows=None) -> None:
             print(f"{key}: {doc[key]}")
 
 
-def _cmd_relations(cfg: RunConfig) -> int:
-    w = cfg.args.max_weight
+def _cmd_relations(ns: argparse.Namespace) -> int:
+    w = ns.max_weight
     payload = serialize.cache_get_or_compute(
         f"relations_w{w}",
         lambda: [serialize.encode_relation_class(c) for c in relations.enumerate_indecomposable(w)],
-        cfg.cache,
+        serialize.cache_dir(ns.cache_dir),
     )
     classes = [serialize.decode_relation_class(v) for v in payload]
     rows = []
     doc_classes = []
     for c in classes:
         entry = serialize.encode_relation_class(c)
-        if cfg.args.mod2:
+        if ns.mod2:
             rep = c.representative
             entry["mod2_indecomposable"] = relations.is_indecomposable(rep, mod2=True)
             entry["lift_unique"] = relations.lift_is_unique(rep)
@@ -73,34 +72,34 @@ def _cmd_relations(cfg: RunConfig) -> int:
                 " ".join(f"{'-' if s < 0 else ''}{r}" for r, s in c.representative.entries),
             )
         )
-    _emit({"max_weight": w, "count": len(classes), "classes": doc_classes}, cfg.fmt, rows)
+    _emit(ns, {"max_weight": w, "count": len(classes), "classes": doc_classes}, rows)
     return EXIT_OK
 
 
-def _cmd_madan_pal(cfg: RunConfig) -> int:
-    n = cfg.args.n
+def _cmd_madan_pal(ns: argparse.Namespace) -> int:
+    n = ns.n
     payload = serialize.cache_get_or_compute(
         f"madan_pal_{n}",
         lambda: serialize.encode_record(madanpal.build_record(n)),
-        cfg.cache,
+        serialize.cache_dir(ns.cache_dir),
     )
-    _emit(payload, "json" if cfg.args.json else cfg.fmt, [(n, payload["p_n"], payload["ordinary"])])
+    _emit(ns, payload, [(n, payload["p_n"], payload["ordinary"])])
     return EXIT_OK
 
 
-def _cmd_weil(cfg: RunConfig) -> int:
-    ctx = _context_for_q(cfg.args.q)
-    poly = serialize.decode_poly(json.loads(Path(cfg.args.poly).read_text()))
+def _cmd_weil(ns: argparse.Namespace) -> int:
+    ctx = _context_for_q(ns.q)
+    poly = serialize.decode_poly(json.loads(Path(ns.poly).read_text()))
     doc: dict = {"q": ctx.q, "poly": serialize.encode_poly(poly)}
-    if cfg.args.newton:
+    if ns.newton:
         doc["newton"] = serialize.encode_newton(newton_polygon(poly, ctx))
-    if cfg.args.ordinary:
+    if ns.ordinary:
         doc["ordinary"] = is_ordinary(poly, ctx)
-    if cfg.args.extend:
-        doc["extended"] = serialize.encode_poly(base_extension(poly, cfg.args.extend))
-    if cfg.args.real_weil:
+    if ns.extend:
+        doc["extended"] = serialize.encode_poly(base_extension(poly, ns.extend))
+    if ns.real_weil:
         doc["real_weil"] = is_real_weil(poly, ctx)
-    _emit(doc, cfg.fmt)
+    _emit(ns, doc)
     return EXIT_OK
 
 
@@ -113,15 +112,15 @@ def _context_for_q(q: int) -> WeilContext:
     return WeilContext(p, a)
 
 
-def _cmd_solve_g(cfg: RunConfig) -> int:
-    a, c, lv = cfg.args.max_order12, cfg.args.max_order3, cfg.args.max_level
+def _cmd_solve_g(ns: argparse.Namespace) -> int:
+    a, c, lv = ns.max_order12, ns.max_order3, ns.max_level
     payload = serialize.cache_get_or_compute(
         f"solve_{a}_{c}_{lv}",
         lambda: [
             serialize.encode_triple(t)
-            for t in solver.solve_bounded(a, c, lv, workers=cfg.workers)
+            for t in solver.solve_bounded(a, c, lv, workers=ns.workers)
         ],
-        cfg.cache,
+        serialize.cache_dir(ns.cache_dir),
     )
     triples = [serialize.decode_triple(v) for v in payload]
     patterns = solver.classify_solutions(triples)
@@ -132,14 +131,13 @@ def _cmd_solve_g(cfg: RunConfig) -> int:
         "patterns": [serialize.encode_pattern(p) for p in patterns],
     }
     rows = [(t.eta1, t.eta2, t.eta3) for t in triples]
-    fmt = "csv" if cfg.args.csv else ("json" if cfg.args.json else cfg.fmt)
-    _emit(doc, fmt, rows)
+    _emit(ns, doc, rows)
     return EXIT_OK
 
 
-def _cmd_verify_table2(cfg: RunConfig) -> int:
+def _cmd_verify_table2(ns: argparse.Namespace) -> int:
     result = solver.verify_table2(
-        cfg.args.max_order12, cfg.args.max_order3, cfg.args.max_level, workers=cfg.workers
+        ns.max_order12, ns.max_order3, ns.max_level, workers=ns.workers
     )
     doc = {
         "sporadic_ok": result["sporadic_ok"],
@@ -152,23 +150,23 @@ def _cmd_verify_table2(cfg: RunConfig) -> int:
             "substitution and its role is played by the orbit member (zeta, 1/zeta, 1)"
         ),
     }
-    _emit(doc, cfg.fmt)
+    _emit(ns, doc)
     return EXIT_OK if result["ok"] else EXIT_CLAIM_FAILED
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    reports = geometry.build_reports(cfg.args.n)
-    doc = {"n": cfg.args.n, "reports": [serialize.encode_report(r) for r in reports]}
+def _cmd_decompose(ns: argparse.Namespace) -> int:
+    reports = geometry.build_reports(ns.n)
+    doc = {"n": ns.n, "reports": [serialize.encode_report(r) for r in reports]}
     rows = [
         (r.n, r.dimension, r.f_formula, r.f_oracle, r.stabilizing_m, r.geom_simple)
         for r in reports
     ]
-    _emit(doc, cfg.fmt, rows)
+    _emit(ns, doc, rows)
     return EXIT_OK if all(r.consistent for r in reports) else EXIT_CLAIM_FAILED
 
 
-def _cmd_verify_theorem(cfg: RunConfig) -> int:
-    max_n = cfg.args.max_n
+def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
+    max_n = ns.max_n
     mismatches = []
     xor_failures = []
     for n in range(1, max_n + 1):
@@ -183,14 +181,14 @@ def _cmd_verify_theorem(cfg: RunConfig) -> int:
         "ordinary_xor_geom_simple_failures": xor_failures,
     }
     pairs_ok = True
-    if cfg.args.pairs:
+    if ns.pairs:
         bound = min(max_n, 30)
         got = sorted(sorted(p) for p in geometry.geometric_isogeny_pairs(bound))
         want = sorted(sorted(p) for p in geometry.EXPECTED_GEOM_PAIRS if max(p) <= bound)
         pairs_ok = got == want
         doc["geometric_pairs"] = got
         doc["geometric_pairs_ok"] = pairs_ok
-    _emit(doc, cfg.fmt)
+    _emit(ns, doc)
     ok = not mismatches and not xor_failures and pairs_ok
     return EXIT_OK if ok else EXIT_CLAIM_FAILED
 
@@ -212,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations", help="indecomposable relation classes up to a weight bound")
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--mod2", action="store_true")
+    p.set_defaults(handler=_cmd_relations)
 
     p = sub.add_parser("madan-pal", help="family record for one index")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_madan_pal)
 
     p = sub.add_parser("weil", help="Weil polynomial utilities")
     p.add_argument("--q", type=int, default=2)
@@ -224,61 +223,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordinary", action="store_true")
     p.add_argument("--extend", type=int, default=0)
     p.add_argument("--real-weil", action="store_true")
+    p.set_defaults(handler=_cmd_weil)
 
     p = sub.add_parser("solve-g", help="bounded root-of-unity solution search")
     p.add_argument("--max-order12", type=int, required=True)
     p.add_argument("--max-order3", type=int, required=True)
     p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    p.set_defaults(handler=_cmd_solve_g)
 
     p = sub.add_parser("verify-table2", help="recompute the sporadic order patterns")
     p.add_argument("--max-order12", type=int, default=32)
     p.add_argument("--max-order3", type=int, default=32)
     p.add_argument("--max-level", type=int, default=120)
+    p.set_defaults(handler=_cmd_verify_table2)
 
     p = sub.add_parser("decompose", help="geometric multiplicity report for one index")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("verify-theorem", help="reconcile formula and oracle for all n")
     p.add_argument("--max-n", type=int, default=32)
     p.add_argument("--pairs", action="store_true", help="also verify the geometric isogeny pairs")
+    p.set_defaults(handler=_cmd_verify_theorem)
 
     return ap
 
 
-COMMANDS = {
-    "relations": _cmd_relations,
-    "madan-pal": _cmd_madan_pal,
-    "weil": _cmd_weil,
-    "solve-g": _cmd_solve_g,
-    "verify-table2": _cmd_verify_table2,
-    "decompose": _cmd_decompose,
-    "verify-theorem": _cmd_verify_theorem,
-}
-
-
-def dispatch(cfg: RunConfig) -> int:
+def main(argv=None) -> int:
+    ns = build_parser().parse_args(argv)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return ns.handler(ns)
     except relations.CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        args=ns,
-        fmt=ns.format,
-        cache=serialize.cache_dir(ns.cache_dir),
-        workers=max(1, ns.workers),
-    )
-    return dispatch(cfg)
 
 
 if __name__ == "__main__":

@@ -144,13 +144,6 @@ U_TERM: Term = (-1, (1, 1, -2))
 U_INV_TERM: Term = (-1, (-1, -1, 2))
 
 
-def apply_symmetry_word(word, obj):
-    """Apply a word in the three generators, e.g. (2, 0, 1), left to right."""
-    for k in word:
-        obj = apply_symmetry(k, obj)
-    return obj
-
-
 def apply_symmetry(k: int, obj):
     """Apply the k-th generator (0, 1, 2) to a LaurentExpr or a SolutionTriple."""
     images = GENERATORS[k]
@@ -539,15 +532,14 @@ def _patterns(signatures) -> list[SolutionPattern]:
     return out
 
 
-def classify_solutions(sols, verdicts: dict[SolutionTriple, bool] | None = None) -> list[SolutionPattern]:
+def classify_solutions(sols) -> list[SolutionPattern]:
     """Group solutions into parametric members and sporadic order patterns.
 
-    Order signatures are normalized by the swap symmetry only:
-    order1 <= order2, with the full set of eta3 orders per (order1, order2).
-    verdicts, when given, holds is_parametric of every solution.
+    Each solution's kind is its is_parametric verdict.  Order signatures are
+    normalized by the swap symmetry only: order1 <= order2, with the full set
+    of eta3 orders per (order1, order2).
     """
-    parametric = is_parametric if verdicts is None else verdicts.__getitem__
-    return _patterns((t.orders(), parametric(t)) for t in sols)
+    return _patterns((t.orders(), is_parametric(t)) for t in sols)
 
 
 # known sporadic order patterns: (order of eta1, order of eta2,

@@ -1,5 +1,5 @@
-"""Weil polynomials over finite fields: functional equation, real transform,
-Newton polygons, exact real-rootedness tests, and base extension.
+"""Weil polynomials over finite fields: the real transform, Newton polygons,
+exact real-rootedness tests, and base extension.
 
 Sturm counting is fully exact; the interval endpoints +-2*sqrt(q) are handled
 in Z[sqrt(q)] because real Weil polynomials may have roots exactly there.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime
-from .intpoly import IntPoly, dehomogenize, from_power_sums, homogenize, power_sums, prem, radical
+from .intpoly import IntPoly, from_power_sums, homogenize, power_sums, prem, radical
 
 
 @dataclass(frozen=True)
@@ -96,23 +96,6 @@ def real_to_weil(r: IntPoly, ctx: WeilContext) -> IntPoly:
     if not r.is_monic():
         raise ValueError("real Weil polynomial must be monic")
     return homogenize(r, IntPoly([ctx.q, 0, 1]))
-
-
-def weil_to_real(qpoly: IntPoly, ctx: WeilContext) -> IntPoly:
-    """Inverse of real_to_weil; requires the plus-sign functional equation."""
-    return dehomogenize(qpoly, IntPoly([ctx.q, 0, 1]))
-
-
-def functional_equation_sign(qpoly: IntPoly, ctx: WeilContext):
-    """+1, -1, or None according to Q(x) = sign * q^-g * x^2g * Q(q/x)."""
-    if qpoly.degree() % 2 or not qpoly.is_monic():
-        raise ValueError("need a monic polynomial of even degree")
-    g = qpoly.degree() // 2
-    q = ctx.q
-    for sign in (1, -1):
-        if all(qpoly[i] == sign * q ** (g - i) * qpoly[2 * g - i] for i in range(g + 1)):
-            return sign
-    return None
 
 
 # -- exact Sturm machinery ----------------------------------------------------

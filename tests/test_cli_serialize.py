@@ -218,7 +218,7 @@ def test_cli_parser_reuse_leaks_no_state(tmp_path):
         ["--format", "csv", "madan-pal", "--n", "7"],
         ["madan-pal", "--n", "7"],
         ["--format", "text", "madan-pal"],
-        ["madan-pal", "--n", "5", "--json"],
+        ["--format", "json", "madan-pal", "--n", "5"],
         ["relations", "--max-weight", "three"],
         ["--format", "text", "relations", "--max-weight", "2"],
     ]
@@ -344,12 +344,61 @@ def test_cli_deterministic_output_across_workers(tmp_path):
 
 def test_cli_solve_csv(tmp_path):
     res = run_cli(
-        ["solve-g", "--max-order12", "2", "--max-order3", "4", "--max-level", "8", "--csv"],
+        ["--format", "csv", "solve-g", "--max-order12", "2", "--max-order3", "4", "--max-level", "8"],
         tmp_path,
     )
     assert res.returncode == 0
     rows = [line.split(",") for line in res.stdout.strip().splitlines()]
     assert ["1/2", "1/2", "1/4"] in rows
+
+
+SOLVE_SMALL = ["solve-g", "--max-order12", "6", "--max-order3", "6", "--max-level", "24"]
+
+
+@pytest.mark.parametrize(
+    "args, sha256_prefix",
+    [
+        (["--format", "csv", *SOLVE_SMALL], "5e9cda8fe0798d1d"),
+        (SOLVE_SMALL, "f90dc95f1fd998cb"),
+        (["madan-pal", "--n", "30"], "edcba7a441e14d62"),
+        (["--format", "csv", "madan-pal", "--n", "30"], "2da84571535933b6"),
+    ],
+)
+def test_cli_format_is_the_output_switch(tmp_path, args, sha256_prefix):
+    """`--format` alone picks the output: these print, byte for byte, what the
+    subcommands' own `--csv` and `--json` flags printed before they were removed."""
+    status, out, _ = main_in_process(args, tmp_path)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha256_prefix
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["madan-pal", "--n", "30", "--json"],
+        [*SOLVE_SMALL, "--json"],
+        [*SOLVE_SMALL, "--csv"],
+    ],
+)
+def test_cli_subcommand_format_flags_are_gone(tmp_path, args):
+    status, out, err = main_in_process(args, tmp_path)
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_cli_csv_without_a_table_is_a_usage_error(tmp_path):
+    """A subcommand with no CSV form exits 2 under `--format csv`, prints
+    nothing and names itself on stderr."""
+    poly = tmp_path / "p.json"
+    poly.write_text("[2,-2,1]")
+    for args in (
+        ["weil", "--poly", str(poly), "--newton"],
+        ["verify-table2", "--max-order12", "2", "--max-order3", "2", "--max-level", "4"],
+        ["verify-theorem", "--max-n", "2"],
+    ):
+        status, out, err = main_in_process(["--format", "csv", *args], tmp_path)
+        assert (status, out) == (2, "")
+        assert err == f"error: {args[0]} has no CSV form; use --format json or text\n"
 
 
 def test_cli_verify_table2_small_bounds_fail(tmp_path):

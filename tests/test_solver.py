@@ -62,9 +62,14 @@ def test_symmetry_on_triples():
     assert apply_symmetry(0, t) == SolutionTriple(r(4, 5), r(4, 5), r(1, 5).negated().inverse())
 
 
-def test_symmetry_words():
-    from orderone.solver import apply_symmetry_word, g_expr
+def apply_symmetry_word(word, obj):
+    """Apply a word in the three generators, e.g. (2, 0, 1), left to right."""
+    for k in word:
+        obj = apply_symmetry(k, obj)
+    return obj
 
+
+def test_symmetry_words():
     g = g_expr()
     for word in [(), (0,), (1, 2), (2, 1, 0), (0, 1, 2, 1, 0)]:
         assert apply_symmetry_word(word, g).key() == g.key()
@@ -486,13 +491,13 @@ def test_fast_paths_match_reference_routes(box):
     sols = solve_bounded(*box)
     assert sols == per_triple_solve(*box)
     parametric = {t for t in sols if per_solution_is_parametric(t)}
-    verdicts = {t: t in parametric for t in sols}
-    assert classify_solutions(sols) == classify_solutions(sols, verdicts)
+    reference_patterns = solver._patterns((t.orders(), t in parametric) for t in sols)
+    assert classify_solutions(sols) == reference_patterns
     assert {t for t in sols if is_parametric(t)} == parametric
     assert expected_parametric(*box) == per_seed_expected_parametric(*box)
     result = verify_table2(*box)
     assert result["solutions"] == sols
-    assert result["patterns"] == classify_solutions(sols, verdicts)
+    assert result["patterns"] == reference_patterns
     assert result["parametric_ok"] == (parametric == per_seed_expected_parametric(*box))
 
 

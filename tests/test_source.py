@@ -1,9 +1,12 @@
+import argparse
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import orderone
+from orderone import cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -39,3 +42,25 @@ def test_geometry_defines_no_dense_power_sum_table():
             defined |= {t.id for t in targets if isinstance(t, ast.Name)}
     assert "_power_sums_at" in defined
     assert defined.isdisjoint({"_power_sum_table", "_BLOCK"})
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")}
+
+
+def test_readme_command_line_names_every_option():
+    """README's "Command line" usage line lists exactly the global options, and
+    its table has one row per subcommand listing exactly that subcommand's options."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    usage = section.split("```\n", 2)[1]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cell = re.split(r"(?<!\\)\|", line)[1].strip().strip("`")
+            rows[cell.split()[0]] = set(re.findall(r"--[a-z0-9-]+", cell))
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(re.findall(r"--[a-z0-9-]+", usage)) == _options(parser)
+    assert rows == {name: _options(p) for name, p in sub.choices.items()}

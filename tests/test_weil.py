@@ -5,20 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderone.intpoly import IntPoly
+from orderone.intpoly import IntPoly, dehomogenize
 from orderone.weil import (
     F2,
     WeilContext,
     base_extension,
-    functional_equation_sign,
     is_ordinary,
     is_real_weil,
     newton_polygon,
     np_forces_geom_simple,
     real_to_weil,
-    weil_to_real,
 )
 from polyroutes import interpolate, resultant, stride_base_extension
+
+
+def weil_to_real(qpoly: IntPoly, ctx: WeilContext) -> IntPoly:
+    """Inverse of real_to_weil; requires the plus-sign functional equation."""
+    return dehomogenize(qpoly, IntPoly([ctx.q, 0, 1]))
+
+
+def functional_equation_sign(qpoly: IntPoly, ctx: WeilContext):
+    """+1, -1, or None according to Q(x) = sign * q^-g * x^2g * Q(q/x)."""
+    if qpoly.degree() % 2 or not qpoly.is_monic():
+        raise ValueError("need a monic polynomial of even degree")
+    g = qpoly.degree() // 2
+    q = ctx.q
+    for sign in (1, -1):
+        if all(qpoly[i] == sign * q ** (g - i) * qpoly[2 * g - i] for i in range(g + 1)):
+            return sign
+    return None
 
 
 def test_real_to_weil_examples():
