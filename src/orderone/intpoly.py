@@ -3,6 +3,10 @@
 Coefficients are stored lowest degree first, trailing zeros trimmed; the zero
 polynomial has an empty coefficient tuple and degree -1.  Everything here is
 pure and exact: no floats, no modular shortcuts unless explicitly asked for.
+
+The one pseudo-remainder sequence is the signed, content-stripped Sturm chain:
+`radical` reads gcd(f, f') off its last term, and `weil.is_real_weil` counts
+real roots by its sign variations.
 """
 from __future__ import annotations
 
@@ -247,59 +251,65 @@ def dehomogenize(f: IntPoly, quad: IntPoly) -> IntPoly:
 
 
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + prem(a, b)."""
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + prem(a, b), and
+    a itself when deg a < deg b."""
     if b.is_zero():
         raise ZeroDivisionError("pseudo-division by zero")
     da, db = a.degree(), b.degree()
     if da < db:
-        return a * (b.lc() ** (da - db + 1) if da - db + 1 >= 0 else 1)
+        return a
     lead = b.lc()
     r = list(a.coeffs)
-    steps = da - db + 1
     for k in range(da, db - 1, -1):
-        c = r[k] if k < len(r) else 0
+        c = r[k]
         r = [lead * v for v in r]
         if c:
             for j, bc in enumerate(b.coeffs):
                 r[k - db + j] -= c * bc
-        steps -= 1
         # r[k] is now zero by construction
-    res = IntPoly(r)
-    return res * (lead ** steps) if steps > 0 else res
+    return IntPoly(r)
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient, via a primitive PRS."""
-    if a.is_zero():
-        return b.primitive() if b.lc() >= 0 else (-b).primitive()
-    if b.is_zero():
-        return a.primitive() if a.lc() >= 0 else (-a).primitive()
-    ca, cb = abs(a.content()), abs(b.content())
-    g = math.gcd(ca, cb)
-    a, b = a.primitive(), b.primitive()
-    if a.degree() < b.degree():
-        a, b = b, a
-    while not b.is_zero():
-        r = prem(a, b).primitive()
-        a, b = b, r
-    a = a if a.lc() > 0 else -a
-    return a * g if a.degree() > 0 or g != 1 else a
+def _strip_content(f: IntPoly) -> IntPoly:
+    """Divide by the positive gcd of the coefficients, keeping the sign."""
+    c = math.gcd(*f.coeffs)
+    return IntPoly(a // c for a in f.coeffs) if c > 1 else f
+
+
+def sturm_sequence(f: IntPoly) -> list[IntPoly]:
+    """Sturm chain f, f', -rem(f, f'), ... down to a constant or gcd(f, f').
+
+    Each term is the negated pseudo-remainder of the two before it, divided by
+    its content with the sign that makes it a positive multiple of the true
+    negated remainder, so sign variations count distinct real roots exactly.
+    The last term is gcd(f, f') up to a constant factor.
+    """
+    seq = [_strip_content(f), _strip_content(f.derivative())]
+    while seq[-1].degree() > 0:
+        a, b = seq[-2], seq[-1]
+        r = prem(a, b)
+        if r.is_zero():
+            break
+        # prem scales rem(a, b) by lc(b)^(deg a - deg b + 1); fold that sign
+        # and the negation into the content division
+        c = math.gcd(*r.coeffs)
+        if b.lc() > 0 or (a.degree() - b.degree()) % 2:
+            c = -c
+        seq.append(IntPoly(v // c for v in r.coeffs))
+    return seq
 
 
 def radical(f: IntPoly) -> IntPoly:
-    """Squarefree part f / gcd(f, f'); primitive, monic-normalized when f is monic."""
+    """Squarefree part f / gcd(f, f'), primitive with positive leading
+    coefficient (so monic when f is monic); the gcd is the last term of f's
+    Sturm chain."""
     if f.is_zero():
         raise ValueError("radical of the zero polynomial")
     if f.degree() == 0:
         return IntPoly([1])
-    g = poly_gcd(f, f.derivative())
-    r = f.primitive().exact_div(g) if g.degree() > 0 else f.primitive()
-    r = r.primitive()
-    if f.is_monic():
-        r = r.monic_normalized()
-    elif r.lc() < 0 <= f.lc():
-        r = -r
-    return r
+    g = sturm_sequence(f)[-1]
+    r = f.primitive()
+    return r.exact_div(g).primitive() if g.degree() > 0 else r
 
 
 def power_sums(f: IntPoly, count: int) -> list[int]:

@@ -552,13 +552,11 @@ def _exact_partition(values: list[RootOfUnity], out: list[list[RootOfUnity]]) ->
             # carve a conjugate copy out of the complement, mirror the refinement
             rest = []
             need = dict(conj_ms)
-            mirror: list[RootOfUnity] = []
             for i, v in enumerate(values):
                 if (m >> i) & 1:
                     continue
                 if need.get(v, 0) > 0:
                     need[v] -= 1
-                    mirror.append(v)
                 else:
                     rest.append(v)
             sub: list[list[RootOfUnity]] = []

@@ -1,17 +1,18 @@
 """Weil polynomials over finite fields: the real transform, Newton polygons,
 exact real-rootedness tests, and base extension.
 
-Sturm counting is fully exact; the interval endpoints +-2*sqrt(q) are handled
-in Z[sqrt(q)] because real Weil polynomials may have roots exactly there.
+Real-rootedness is one exact Sturm count over the closed interval
+[-2*sqrt(q), 2*sqrt(q)] for every q, square or not: the chain comes from
+intpoly, and its signs at the endpoints are read in Z[sqrt(q)], where they are
+exactly 0 at a root there.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime
-from .intpoly import IntPoly, from_power_sums, homogenize, power_sums, prem, radical
+from .intpoly import IntPoly, from_power_sums, homogenize, power_sums, radical, sturm_sequence
 
 
 @dataclass(frozen=True)
@@ -98,29 +99,7 @@ def real_to_weil(r: IntPoly, ctx: WeilContext) -> IntPoly:
     return homogenize(r, IntPoly([ctx.q, 0, 1]))
 
 
-# -- exact Sturm machinery ----------------------------------------------------
-
-
-def _strip_content(f: IntPoly) -> IntPoly:
-    """Divide by the positive gcd of the coefficients, keeping the sign."""
-    if f.is_zero():
-        return f
-    c = abs(f.content())
-    return IntPoly(a // c for a in f.coeffs)
-
-
-def sturm_sequence(f: IntPoly) -> list[IntPoly]:
-    """Sturm chain; content is stripped each step without touching signs."""
-    seq = [_strip_content(f), _strip_content(f.derivative())]
-    while seq[-1].degree() > 0:
-        a, b = seq[-2], seq[-1]
-        r = prem(a, b)
-        sigma = 1 if (b.lc() > 0 or (a.degree() - b.degree() + 1) % 2 == 0) else -1
-        nxt = _strip_content(-r if sigma > 0 else r)
-        if nxt.is_zero():
-            break
-        seq.append(nxt)
-    return seq
+# -- exact real-root count ----------------------------------------------------
 
 
 def _eval_quad(f: IntPoly, u: int, v: int, q: int) -> tuple[int, int]:
@@ -132,19 +111,16 @@ def _eval_quad(f: IntPoly, u: int, v: int, q: int) -> tuple[int, int]:
 
 
 def _sign_quad(U: int, V: int, q: int) -> int:
-    """Sign of U + V*sqrt(q) for a non-square q."""
-    if U == 0 and V == 0:
-        return 0
+    """Sign of U + V*sqrt(q).  U^2 = q*V^2 with V != 0 only happens for a
+    square q, where U + V*sqrt(q) is exactly 0."""
     if V == 0:
-        return 1 if U > 0 else -1
-    if U == 0:
+        return (U > 0) - (U < 0)
+    if U == 0 or (U > 0) == (V > 0):
         return 1 if V > 0 else -1
-    if (U > 0) == (V > 0):
-        return 1 if U > 0 else -1
-    lhs, rhs = U * U, q * V * V
-    if lhs == rhs:
-        raise ArithmeticError("sqrt(q) cannot be rational here")
-    return (1 if U > 0 else -1) if lhs > rhs else (1 if V > 0 else -1)
+    diff = U * U - q * V * V
+    if diff == 0:
+        return 0
+    return (1 if U > 0 else -1) if diff > 0 else (1 if V > 0 else -1)
 
 
 def _variations(signs: list[int]) -> int:
@@ -152,53 +128,21 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_real_roots_quad_interval(f: IntPoly, q: int) -> int:
-    """Distinct real roots of squarefree f in the open interval (-2*sqrt(q), 2*sqrt(q)), q non-square."""
+def is_real_weil(r: IntPoly, ctx: WeilContext) -> bool:
+    """True iff all complex roots of monic r are real and lie in [-2*sqrt(q), 2*sqrt(q)].
+
+    On the Sturm chain of the squarefree f = radical(r), V(a) - V(b) counts
+    the distinct roots in (a, b], so V(-2*sqrt(q)) - V(2*sqrt(q)) plus one
+    for a root at -2*sqrt(q) counts the closed interval, which must hold all
+    deg f roots.
+    """
+    if r.is_zero() or not r.is_monic():
+        raise ValueError("need a monic nonzero polynomial")
+    f, q = radical(r), ctx.q
     seq = sturm_sequence(f)
     lo = [_sign_quad(*_eval_quad(g, 0, -2, q), q) for g in seq]
     hi = [_sign_quad(*_eval_quad(g, 0, 2, q), q) for g in seq]
-    return _variations(lo) - _variations(hi)
-
-
-def count_real_roots_int_interval(f: IntPoly, lo_pt: int, hi_pt: int) -> int:
-    """Distinct real roots of squarefree f in the open interval (lo_pt, hi_pt)."""
-    seq = sturm_sequence(f)
-    lo = [_int_sign(g.eval(lo_pt)) for g in seq]
-    hi = [_int_sign(g.eval(hi_pt)) for g in seq]
-    return _variations(lo) - _variations(hi)
-
-
-def _int_sign(v: int) -> int:
-    return 0 if v == 0 else (1 if v > 0 else -1)
-
-
-def is_real_weil(r: IntPoly, ctx: WeilContext) -> bool:
-    """True iff all complex roots of monic r are real and lie in [-2*sqrt(q), 2*sqrt(q)]."""
-    if r.is_zero() or not r.is_monic():
-        raise ValueError("need a monic nonzero polynomial")
-    if r.degree() == 0:
-        return True
-    f = radical(r)
-    q = ctx.q
-    root_q = math.isqrt(q)
-    if root_q * root_q == q:
-        # rational endpoints +-2*sqrt(q)
-        t = 2 * root_q
-        endpoint_roots = 0
-        for end in (t, -t):
-            lin = IntPoly([-end, 1])
-            if (f % lin).is_zero():
-                f = f.exact_div(lin)
-                endpoint_roots += 1
-        if f.degree() == 0:
-            return True
-        return count_real_roots_int_interval(f, -t, t) == f.degree()
-    quad = IntPoly([-4 * q, 0, 1])  # x^2 - 4q, the minimal polynomial of +-2*sqrt(q)
-    if (f % quad).is_zero():
-        f = f.exact_div(quad)
-    if f.degree() == 0:
-        return True
-    return count_real_roots_quad_interval(f, q) == f.degree()
+    return _variations(lo) - _variations(hi) + (lo[0] == 0) == f.degree()
 
 
 # -- base extension -----------------------------------------------------------

@@ -64,3 +64,23 @@ def test_readme_command_line_names_every_option():
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(re.findall(r"--[a-z0-9-]+", usage)) == _options(parser)
     assert rows == {name: _options(p) for name, p in sub.choices.items()}
+
+
+def test_one_pseudo_remainder_chain():
+    """The Sturm chain is the library's one PRS: radical reads its gcd off it,
+    is_real_weil counts roots on it, and no second gcd loop or interval counter
+    is defined beside it."""
+    defined, prem_callers = set(), []
+    for path in sorted(Path(orderone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            defined.add(node.name)
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                if "prem" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                    prem_callers.append(f"{path.name}:{node.name}")
+    assert "poly_gcd" not in defined
+    assert not {name for name in defined if name.startswith("count_real_roots_")}
+    assert prem_callers == ["intpoly.py:sturm_sequence"]

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +93,38 @@ def test_is_real_weil_examples():
     # square field: rational endpoints
     assert is_real_weil(IntPoly([-4, 0, 1]), WeilContext(2, 2))
     assert not is_real_weil(IntPoly([-5, 1]), WeilContext(2, 2))
+
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2)}
+
+
+@st.composite
+def near_endpoint_polys(draw):
+    """(q, monic r): integer roots within one of +-2*sqrt(q), a power of
+    x^2 - 4q, and at most one random monic quadratic."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    t = math.isqrt(4 * q)
+    r = IntPoly([-4 * q, 0, 1]) ** draw(st.integers(min_value=0, max_value=2))
+    for root in draw(st.lists(st.integers(min_value=-t - 1, max_value=t + 1), max_size=3)):
+        r = r * IntPoly([-root, 1])
+    if draw(st.booleans()):
+        b = draw(st.integers(min_value=-t - 1, max_value=t + 1))
+        c = draw(st.integers(min_value=-4 * q, max_value=4 * q))
+        r = r * IntPoly([c, b, 1])
+    return q, r
+
+
+@given(near_endpoint_polys())
+@settings(max_examples=150, deadline=None)
+def test_is_real_weil_against_sympy_real_roots(case):
+    """Square and non-square q, roots at and next to +-2*sqrt(q): the Sturm
+    count of the closed interval agrees with sympy's exact real roots."""
+    q, r = case
+    x = sp.symbols("x")
+    poly = sp.Poly(sum(c * x ** i for i, c in enumerate(r.coeffs)), x)
+    roots = sp.real_roots(poly) if r.degree() > 0 else []
+    want = len(roots) == r.degree() and all(bool(root ** 2 <= 4 * q) for root in roots)
+    assert is_real_weil(r, WeilContext(*FIELDS[q])) == want
 
 
 def test_base_extension_examples():
