@@ -167,6 +167,8 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
     max_n = ns.max_n
+    if max_n < 1:
+        raise ValueError("max-n must be positive")
     mismatches = []
     xor_failures = []
     for n in range(1, max_n + 1):

@@ -1,9 +1,9 @@
-"""Exact arithmetic in rings of cyclotomic integers Z[zeta_N].
+"""Cyclotomic integers Z[zeta_N]: exact sums of roots of unity and their
+zero and parity tests.
 
 A CycInt at level N keeps a full length-N coordinate vector on the powers
 zeta_N^0 .. zeta_N^(N-1) and reduces modulo the N-th cyclotomic polynomial
 only when a zero test, parity test, or power-basis form is requested.
-Arithmetic between different levels embeds both operands into lcm of levels.
 All values are immutable; every operation is pure.
 """
 from __future__ import annotations
@@ -62,7 +62,12 @@ def _reduction_table(level: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CycInt:
-    """An element of Z[zeta_N]: sum of coeffs[i] * zeta_N^i."""
+    """An element of Z[zeta_N]: sum of coeffs[i] * zeta_N^i.
+
+    Equality is the dataclass's: the same level and the same coefficient
+    vector.  That implies equal values, so `==` never calls two different
+    values equal; equal values at different levels, or with vectors that
+    differ by a multiple of Phi_N, compare unequal."""
 
     level: int
     coeffs: tuple[int, ...]
@@ -70,90 +75,6 @@ class CycInt:
     def __post_init__(self):
         if self.level < 1 or len(self.coeffs) != self.level:
             raise ValueError("coefficient vector length must equal the level")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(level: int = 1) -> "CycInt":
-        return CycInt(level, (0,) * level)
-
-    @staticmethod
-    def integer(n: int, level: int = 1) -> "CycInt":
-        return CycInt(level, (n,) + (0,) * (level - 1))
-
-    @staticmethod
-    def from_root(r: RootOfUnity, level: int | None = None) -> "CycInt":
-        lv = r.den if level is None else level
-        if lv % r.den:
-            raise ValueError("level must be a multiple of the root order")
-        c = [0] * lv
-        c[(r.num * (lv // r.den)) % lv] = 1
-        return CycInt(lv, tuple(c))
-
-    # -- level handling ------------------------------------------------------
-
-    def embed(self, level: int) -> "CycInt":
-        """Embed into Z[zeta_level] for level a multiple of self.level (index map i -> k*i)."""
-        if level == self.level:
-            return self
-        if level % self.level:
-            raise ValueError("can only embed into a multiple level")
-        k = level // self.level
-        c = [0] * level
-        for i, a in enumerate(self.coeffs):
-            if a:
-                c[i * k] += a
-        return CycInt(level, tuple(c))
-
-    @staticmethod
-    def common(a: "CycInt", b: "CycInt") -> tuple["CycInt", "CycInt"]:
-        lv = math.lcm(a.level, b.level)
-        return a.embed(lv), b.embed(lv)
-
-    # -- ring operations -------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b = CycInt.common(self, other)
-        return CycInt(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycInt(self.level, tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.level, tuple(other * x for x in self.coeffs))
-        if isinstance(other, RootOfUnity):
-            return self * CycInt.from_root(other)
-        a, b = CycInt.common(self, _coerce(other))
-        n = a.level
-        out = [0] * n
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[(i + j) % n] += x * y
-        return CycInt(n, tuple(out))
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CycInt":
-        """Complex conjugation: the coefficient of zeta^i moves to index -i mod N."""
-        n = self.level
-        out = [0] * n
-        for i, x in enumerate(self.coeffs):
-            out[(-i) % n] += x
-        return CycInt(n, tuple(out))
-
-    # -- reduced form and predicates -----------------------------------------
 
     def reduced(self) -> tuple[int, ...]:
         """Coordinates on the power basis zeta^0..zeta^(phi(N)-1), reduced mod Phi_N."""
@@ -178,28 +99,9 @@ class CycInt:
         """
         return all(c % 2 == 0 for c in self.reduced())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = CycInt.integer(other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None  # equality crosses levels; hash by identity would lie
-
     def __repr__(self):
         terms = [f"{a}*z{self.level}^{i}" for i, a in enumerate(self.coeffs) if a]
         return f"CycInt({' + '.join(terms) or '0'})"
-
-
-def _coerce(v) -> CycInt:
-    if isinstance(v, CycInt):
-        return v
-    if isinstance(v, int):
-        return CycInt.integer(v)
-    if isinstance(v, RootOfUnity):
-        return CycInt.from_root(v)
-    raise TypeError(f"cannot coerce {type(v)!r} to CycInt")
 
 
 def root_sum(parts: list[tuple[int, RootOfUnity]], level: int | None = None) -> CycInt:

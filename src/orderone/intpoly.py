@@ -10,6 +10,7 @@ real roots by its sign variations.
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,9 +108,6 @@ class IntPoly:
             qc[k] = c
         return IntPoly(qc), IntPoly(r)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -147,9 +145,6 @@ class IntPoly:
             return -self
         raise ValueError("polynomial cannot be made monic over Z")
 
-    def reversed(self) -> "IntPoly":
-        return IntPoly(self.coeffs[::-1])
-
     # -- evaluation and composition ---------------------------------------
 
     def eval(self, x):
@@ -179,9 +174,20 @@ class IntPoly:
             sign = " + " if (c > 0 and parts) else (" - " if parts else ("-" if c < 0 else ""))
             mag = abs(c)
             term = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            co = str(mag) if (mag != 1 or i == 0) else ""
+            co = int_to_decimal(mag) if (mag != 1 or i == 0) else ""
             parts.append(sign + co + term)
         return f"IntPoly('{''.join(parts)}')"
+
+
+def int_to_decimal(n: int) -> str:
+    """The decimal digits of n.  `str(n)` refuses ints past Python's int-to-str
+    digit limit (4300 digits by default); `Decimal(n)` converts exactly at any size."""
+    return str(decimal.Decimal(n))
+
+
+def decimal_to_int(s: str) -> int:
+    """The int with the decimal digits s, exact at any size (see int_to_decimal)."""
+    return int(decimal.Decimal(s))
 
 
 def _coerce(v) -> IntPoly:

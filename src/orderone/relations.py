@@ -80,8 +80,6 @@ class Relation:
         return [r if s > 0 else r.negated() for r, s in self.entries]
 
     def sum(self) -> CycInt:
-        if not self.entries:
-            return CycInt.zero()
         return root_sum([(s, r) for r, s in self.entries])
 
     def is_valid(self, mod2: bool = False) -> bool:

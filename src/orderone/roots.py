@@ -59,7 +59,6 @@ class RootOfUnity:
 
 
 ROOT_ONE = RootOfUnity(1, 0)
-ROOT_MINUS_ONE = RootOfUnity(2, 1)
 
 
 def root(num: int, den: int) -> RootOfUnity:

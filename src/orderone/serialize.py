@@ -1,10 +1,14 @@
-"""JSON encoding, decoding, and checksummed result caching for all domain types.
+"""JSON forms the CLI prints and the cache stores, and checksummed result caching.
 
-Integer magnitudes beyond 64 bits are emitted as decimal strings so the files
-stay consumable from languages without big integers; both forms are accepted
-on input.  Cached payloads carry a schema number, an algorithm version and a
-content checksum, and corrupt or stale entries (unreadable, not a JSON
-object, or failing any of the three checks) are silently recomputed.
+Each domain type the CLI prints has an encoder; a decoder exists only where a
+cached payload or an input file is read back: polynomials, relation classes
+and solution triples.  Integer magnitudes beyond 64 bits are emitted as
+decimal strings, exact at any size, so the files stay consumable from
+languages without big integers; both forms are accepted on input.
+
+Cached payloads carry a schema number, an algorithm version and a content
+checksum, and corrupt or stale entries (unreadable, not a JSON object, or
+failing any of the three checks) are silently recomputed.
 
 ALGORITHM_VERSION is bumped on purpose whenever an algorithm on a result
 path changes what it outputs, so entries made by the older code are
@@ -18,12 +22,10 @@ import json
 import os
 import re
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
-from .cyclo import CycInt
 from .geometry import DecompositionReport
-from .intpoly import IntPoly
+from .intpoly import IntPoly, decimal_to_int, int_to_decimal
 from .madanpal import MadanPalRecord
 from .relations import Relation, RelationClass
 from .roots import RootOfUnity
@@ -36,7 +38,7 @@ _I64 = 2 ** 63
 
 
 def _enc_int(c: int):
-    return c if -_I64 < c < _I64 else str(c)
+    return c if -_I64 < c < _I64 else int_to_decimal(c)
 
 
 def _dec_int(v) -> int:
@@ -44,7 +46,7 @@ def _dec_int(v) -> int:
     if type(v) is int:
         return v
     if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
-        return int(v)
+        return decimal_to_int(v)
     raise ValueError(f"expected an integer or a decimal string, got {v!r}")
 
 
@@ -56,22 +58,6 @@ def decode_poly(v) -> IntPoly:
     if not isinstance(v, list):
         raise ValueError(f"expected a list of coefficients, got {v!r}")
     return IntPoly([_dec_int(c) for c in v])
-
-
-def encode_root(r: RootOfUnity) -> str:
-    return str(r)
-
-
-def decode_root(v: str) -> RootOfUnity:
-    return RootOfUnity.parse(v)
-
-
-def encode_cyc(v: CycInt) -> dict:
-    return {"level": v.level, "coeffs": [_enc_int(c) for c in v.coeffs]}
-
-
-def decode_cyc(v: dict) -> CycInt:
-    return CycInt(v["level"], tuple(_dec_int(c) for c in v["coeffs"]))
 
 
 def encode_relation(r: Relation) -> dict:
@@ -99,14 +85,6 @@ def encode_newton(np_: NewtonPolygon) -> list:
     return [[f"{s.numerator}/{s.denominator}", m] for s, m in np_.segments]
 
 
-def decode_newton(v) -> NewtonPolygon:
-    segs = []
-    for s, m in v:
-        num, den = s.split("/")
-        segs.append((Fraction(int(num), int(den)), int(m)))
-    return NewtonPolygon(tuple(segs))
-
-
 def encode_record(rec: MadanPalRecord) -> dict:
     return {
         "n": rec.n,
@@ -117,18 +95,6 @@ def encode_record(rec: MadanPalRecord) -> dict:
         "newton": encode_newton(rec.newton),
         "ordinary": rec.ordinary,
     }
-
-
-def decode_record(v: dict) -> MadanPalRecord:
-    return MadanPalRecord(
-        n=v["n"],
-        p_n=decode_poly(v["p_n"]),
-        real_weil=decode_poly(v["real_weil"]),
-        weil=decode_poly(v["weil"]),
-        simple_factors=tuple(decode_poly(f) for f in v["simple_factors"]),
-        newton=decode_newton(v["newton"]),
-        ordinary=v["ordinary"],
-    )
 
 
 def encode_triple(t: SolutionTriple) -> list:
@@ -148,10 +114,6 @@ def encode_pattern(p: SolutionPattern) -> dict:
     }
 
 
-def decode_pattern(v: dict) -> SolutionPattern:
-    return SolutionPattern(v["order1"], v["order2"], tuple(v["orders3"]), v["kind"])
-
-
 def encode_report(r: DecompositionReport) -> dict:
     return {
         "n": r.n,
@@ -164,20 +126,6 @@ def encode_report(r: DecompositionReport) -> dict:
         "stabilizing_m": r.stabilizing_m,
         "geom_simple": r.geom_simple,
     }
-
-
-def decode_report(v: dict) -> DecompositionReport:
-    return DecompositionReport(
-        n=v["n"],
-        simple_factor=decode_poly(v["simple_factor"]),
-        weil=decode_poly(v["weil"]),
-        dimension=v["dimension"],
-        ordinary=v["ordinary"],
-        f_formula=v["f_formula"],
-        f_oracle=v["f_oracle"],
-        stabilizing_m=v["stabilizing_m"],
-        geom_simple=v["geom_simple"],
-    )
 
 
 # -- caching ---------------------------------------------------------------------

@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 
 from orderone import cli, serialize
-from orderone.geometry import build_reports
 from orderone.intpoly import IntPoly
-from orderone.madanpal import build_record
 from orderone.relations import Relation, enumerate_indecomposable
 from orderone.roots import RootOfUnity
 from orderone.solver import SolutionPattern, SolutionTriple, solve_bounded
+from orderone.weil import base_extension
 
 r = RootOfUnity.make
 
@@ -26,16 +25,11 @@ def test_poly_roundtrip_with_big_coefficients():
     assert isinstance(doc[0], int) and isinstance(doc[1], str)
     assert serialize.decode_poly(doc) == p
     assert serialize.decode_poly(json.loads(json.dumps(doc))) == p
-
-
-def test_root_and_cyc_roundtrip():
-    from orderone.cyclo import CycInt
-
-    assert serialize.decode_root(serialize.encode_root(r(8, 15))) == r(8, 15)
-    v = CycInt(6, (1, -2, 0, 4, 0, 0))
-    doc = serialize.encode_cyc(v)
-    assert doc["level"] == 6
-    assert serialize.decode_cyc(doc) == v
+    # past Python's default int-to-str limit of 4300 digits
+    huge = IntPoly([-(10 ** 5000), 7, 10 ** 5000 + 1])
+    doc = serialize.encode_poly(huge)
+    assert doc[2] == "1" + "0" * 4999 + "1"
+    assert serialize.decode_poly(json.loads(json.dumps(doc))) == huge
 
 
 def test_relation_roundtrip():
@@ -46,23 +40,16 @@ def test_relation_roundtrip():
     assert serialize.decode_relation_class(serialize.encode_relation_class(cls)) == cls
 
 
-def test_record_roundtrip():
-    rec = build_record(7)
-    assert serialize.decode_record(serialize.encode_record(rec)) == rec
-    rec200 = build_record(1)
-    assert serialize.decode_record(serialize.encode_record(rec200)) == rec200
-
-
 def test_triple_and_pattern_roundtrip():
     t = SolutionTriple(r(1, 5), r(4, 5), r(0, 1))
     assert serialize.decode_triple(serialize.encode_triple(t)) == t
     p = SolutionPattern(3, 30, (10, 15, 30), "sporadic")
-    assert serialize.decode_pattern(serialize.encode_pattern(p)) == p
-
-
-def test_report_roundtrip():
-    for rep in build_reports(7):
-        assert serialize.decode_report(serialize.encode_report(rep)) == rep
+    assert serialize.encode_pattern(p) == {
+        "order1": 3,
+        "order2": 30,
+        "orders3": [10, 15, 30],
+        "kind": "sporadic",
+    }
 
 
 def test_solution_set_roundtrip():
@@ -209,6 +196,30 @@ def test_cli_madan_pal_stdout_is_pinned(tmp_path):
         assert digest.hexdigest() == "4a13d3befcd24692e6d9606a14c98064d305fb63468c140569071e03da1043a4"
 
 
+def test_cli_decompose_stdout_is_pinned(tmp_path):
+    """Byte-for-byte stdout of `decompose --n K` for K = 1..32, concatenated."""
+    digest = hashlib.sha256()
+    for k in range(1, 33):
+        status, out, _ = main_in_process(["decompose", "--n", str(k)], tmp_path)
+        assert status == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "5db8120b6b077d63366c0f5eced6856864a618706e83ca52c3d48152dd2d4be6"
+
+
+def test_cli_weil_extend_past_the_int_to_str_digit_limit(tmp_path):
+    """A base extension whose coefficients run past Python's default
+    int-to-str limit (4300 digits) prints its JSON, and its repr works."""
+    poly = tmp_path / "p.json"
+    poly.write_text("[2, -2, 1]")
+    status, out, err = main_in_process(["weil", "--poly", str(poly), "--extend", "30000"], tmp_path)
+    assert (status, err) == (0, "")
+    ext = serialize.decode_poly(json.loads(out)["extended"])
+    assert ext == base_extension(IntPoly([2, -2, 1]), 30000)
+    assert ext[0] == 2 ** 30000  # 9031 decimal digits
+    text = repr(ext)
+    assert text.startswith("IntPoly('x^2 - ") and len(text) > 9031
+
+
 def test_cli_parser_reuse_leaks_no_state(tmp_path):
     """Requests in one process, sharing one parser and one cache, print what
     each prints alone in a fresh process, usage errors included."""
@@ -251,6 +262,15 @@ def test_cli_decompose(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert all(rep["f_formula"] == rep["f_oracle"] == 3 for rep in doc["reports"])
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1", "-30"])
+@pytest.mark.parametrize("pairs", [[], ["--pairs"]])
+def test_cli_verify_theorem_rejects_a_non_positive_bound(tmp_path, max_n, pairs):
+    """A bound that checks nothing is a usage error, not a success."""
+    status, out, err = main_in_process(["verify-theorem", "--max-n", max_n, *pairs], tmp_path)
+    assert (status, out) == (2, "")
+    assert err == "error: max-n must be positive\n"
 
 
 def test_cli_verify_theorem_pairs_stdout_is_pinned(tmp_path):

@@ -84,3 +84,25 @@ def test_one_pseudo_remainder_chain():
     assert "poly_gcd" not in defined
     assert not {name for name in defined if name.startswith("count_real_roots_")}
     assert prem_callers == ["intpoly.py:sturm_sequence"]
+
+
+def test_every_codec_has_a_library_caller():
+    """Each encode_*/decode_* in serialize.py is called from src/orderone/ or
+    scripts/, outside its own body, so codecs only the tests call do not grow back."""
+    codecs = {
+        node.name
+        for node in ast.parse((Path(orderone.__file__).parent / "serialize.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(("encode_", "decode_"))
+    }
+    called = set()
+    paths = [*Path(orderone.__file__).parent.glob("*.py"), *(REPO / "scripts").glob("*.py")]
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        own = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in codecs and own.get(id(call)) != name:
+                    called.add(name)
+    assert "encode_poly" in codecs and "decode_triple" in codecs
+    assert sorted(codecs - called) == []
