@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import geometry, madanpal, relations, serialize, solver
 from .arith import factorize
+from .intpoly import decimal_to_int
 from .weil import (
     WeilContext,
     base_extension,
@@ -89,7 +90,8 @@ def _cmd_madan_pal(ns: argparse.Namespace) -> int:
 
 def _cmd_weil(ns: argparse.Namespace) -> int:
     ctx = _context_for_q(ns.q)
-    poly = serialize.decode_poly(json.loads(Path(ns.poly).read_text()))
+    # integer literals go through decimal, so a coefficient of any length parses
+    poly = serialize.decode_poly(json.loads(Path(ns.poly).read_text(), parse_int=decimal_to_int))
     doc: dict = {"q": ctx.q, "poly": serialize.encode_poly(poly)}
     if ns.newton:
         doc["newton"] = serialize.encode_newton(newton_polygon(poly, ctx))

@@ -328,7 +328,8 @@ def _unit_roots(n: int) -> np.ndarray:
 # the true one.  Then |dP| <= 2d + 4u, |dQ| <= 2d + 3u, |dA| <= d + 4u,
 # |dB| <= 5d + 12u, and with |P|, |A| <= 2, |Q| = 1, |B| <= 3 the inputs
 # move g/2 by at most 18d + 37u.  The dot product's absolute terms sum to at
-# most |P||A| + |Q||B| + 1 <= 8, so its 5-term rounding adds at most 40u.
+# most |P||A| + |Q||B| + 1 <= 8, so its 5-term rounding adds at most 40u,
+# in any order of summation, so however the grid is cut into blocks.
 # Hence |float g - g| <= 2 (18d + 77u) < 1.5e-13 = PREFILTER_ERROR_BOUND,
 # and a true zero reads five orders of magnitude below the tolerance.
 # Measured over every order triple of (46, 46, 244): |g| is at most 9.2e-15
@@ -336,9 +337,12 @@ def _unit_roots(n: int) -> np.ndarray:
 # false candidate there either.
 PREFILTER_TOLERANCE = 1e-8
 PREFILTER_ERROR_BOUND = 2 * (18 * 32 + 77) * 2.0 ** -53
-# grid points per float block, so a large order pair is filtered in slices of
-# eta3 columns (2 MB of float64) and not in one array of any size
-PREFILTER_BLOCK = 1 << 18
+# The rows of every order pair that shares one set of eta3 orders are stacked
+# into one grid, filtered in chunks of at most PREFILTER_ROWS rows, and each
+# chunk in slices of eta3 columns of at most PREFILTER_BLOCK points (128 KB of
+# float64, so a block and its mask stay in cache).
+PREFILTER_ROWS = 1 << 10
+PREFILTER_BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=1024)
@@ -353,63 +357,100 @@ def _eta3_columns(c: int) -> np.ndarray:
     return cols
 
 
-def _order_pair_rows(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+@lru_cache(maxsize=1024)
+def _lower_residues(a: int) -> tuple[int, ...]:
+    """The k1 of eta1 = e^(2 pi i k1 / a) in the lower half of its inversion
+    orbit: a prefix of the primitive residues, which ascend."""
+    return tuple(k for k in _primitive_residues(a) if 2 * k <= a)
+
+
+@lru_cache(maxsize=1024)
+def _order_pair_rows(a: int, b: int) -> np.ndarray:
     """Prefilter rows for eta1 of order a in the lower half of its inversion
-    orbit (row-major) against eta2 of order b, and the k1, k2 they stand for."""
-    k2s = _primitive_residues(b)
-    k1s = tuple(k for k in _primitive_residues(a) if 2 * k <= a)  # a prefix: residues ascend
-    x = _unit_roots(a)[: len(k1s), None]
+    orbit against eta2 of order b, row-major over (_lower_residues(a),
+    _primitive_residues(b))."""
+    x = _unit_roots(a)[: len(_lower_residues(a)), None]
     y = _unit_roots(b)
-    rows = np.ones((len(k1s) * len(k2s), 5))
+    rows = np.ones((len(x) * len(y), 5))
     # a complex column viewed as floats is (Re, Im) pairs, so its conjugate gives (Re, -Im)
     rows[:, 0:2] = (x + y).conj().reshape(-1, 1).view(float)
     rows[:, 2:4] = (x * y).conj().reshape(-1, 1).view(float)
-    return rows, k1s, k2s
+    rows.flags.writeable = False
+    return rows
 
 
-def _solve_order_pair(task) -> list[Vector]:
-    """Confirmed zeros (m, (k1, k2, k3)) over m = lcm(2, a, b, c) for one
-    order pair (a, b) and every eta3 order c in the task, prefiltered on one
-    float grid whose columns are the primitive roots of all those c, in
-    blocks of at most PREFILTER_BLOCK points."""
-    a, b, cs = task
-    rows, k1s, k2s = _order_pair_rows(a, b)
+def _row_ends(pairs) -> list[int]:
+    """The end offset of each order pair's rows in the stacked grid."""
+    return list(itertools.accumulate(len(_lower_residues(a)) * len(_primitive_residues(b)) for a, b in pairs))
+
+
+def _prefilter_blocks(pairs, cs):
+    """Yield (top, left, half_g): the float g/2 on the grid of the stacked
+    rows of the order pairs against the concatenated columns of the eta3
+    orders cs, block by block, with the offsets of the block in the grid.
+    A chunk of rows may start or end inside one pair's rows."""
+    row_ends = _row_ends(pairs)
     cols = np.concatenate([_eta3_columns(c) for c in cs], axis=1)
-    ends = list(itertools.accumulate(len(_primitive_residues(c)) for c in cs))
-    width = max(1, PREFILTER_BLOCK // len(rows))
-    m_ab = math.lcm(2, a, b)
+    height = min(PREFILTER_ROWS, row_ends[-1])
+    width = max(1, PREFILTER_BLOCK // height)
+    for top in range(0, row_ends[-1], height):
+        bottom = min(top + height, row_ends[-1])
+        pieces = []
+        for i in range(bisect.bisect_right(row_ends, top), bisect.bisect_left(row_ends, bottom) + 1):
+            start = row_ends[i - 1] if i else 0
+            pieces.append(_order_pair_rows(*pairs[i])[max(top - start, 0) : bottom - start])
+        rows = np.concatenate(pieces)
+        for left in range(0, cols.shape[1], width):
+            yield top, left, rows @ cols[:, left : left + width]
+
+
+def _solve_order_pairs(task) -> list[Vector]:
+    """Confirmed zeros (m, (k1, k2, k3)) over m = lcm(2, a, b, c) for every
+    order pair (a, b) of the task and every eta3 order c of its set cs,
+    prefiltered on one float grid (_prefilter_blocks).  A hit's row maps to
+    (a, b, k1, k2) and its column to (c, k3) by bisection over the offsets."""
+    pairs, cs = task
+    row_ends = _row_ends(pairs)
+    col_ends = list(itertools.accumulate(len(_primitive_residues(c)) for c in cs))
     out = []
-    for start in range(0, cols.shape[1], width):
-        half_g = rows @ cols[:, start : start + width]
-        hit_rows, hit_cols = np.nonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2)
-        for row, col in zip(hit_rows.tolist(), hit_cols.tolist()):
-            col += start
-            i = bisect.bisect_right(ends, col)
-            c = cs[i]
-            k1, k2 = k1s[row // len(k2s)], k2s[row % len(k2s)]
-            k3 = _primitive_residues(c)[col - (ends[i - 1] if i else 0)]
+    for top, left, half_g in _prefilter_blocks(pairs, cs):
+        for hit in np.flatnonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2).tolist():
+            row, col = divmod(hit, half_g.shape[1])
+            row, col = row + top, col + left
+            i = bisect.bisect_right(row_ends, row)
+            a, b = pairs[i]
+            k2s = _primitive_residues(b)
+            i1, i2 = divmod(row - (row_ends[i - 1] if i else 0), len(k2s))
+            k1, k2 = _lower_residues(a)[i1], k2s[i2]
+            j = bisect.bisect_right(col_ends, col)
+            c = cs[j]
+            k3 = _primitive_residues(c)[col - (col_ends[j - 1] if j else 0)]
             # a primitive residue is already the reduced numerator of its root
             if is_solution(SolutionTriple(RootOfUnity(a, k1), RootOfUnity(b, k2), RootOfUnity(c, k3))):
-                m = math.lcm(m_ab, c)
+                m = math.lcm(2, a, b, c)
                 out.append((m, (k1 * (m // a), k2 * (m // b), k3 * (m // c))))
     return out
 
 
-def _order_pair_tasks(max_order_12: int, max_order_3: int, max_level: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(a, b, cs) for every order pair a <= b <= max_order_12, with cs every
-    eta3 order c <= max_order_3 for which lcm(a, b, c) <= max_level.  The cs
-    depend on lcm(a, b) only, so each is computed once per lcm."""
-    tasks = []
+def _order_pair_tasks(
+    max_order_12: int, max_order_3: int, max_level: int
+) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
+    """(pairs, cs) for every set cs of eta3 orders that some order pair
+    a <= b <= max_order_12 admits, with pairs every such (a, b): cs is every
+    c <= max_order_3 with lcm(a, b, c) <= max_level.  The cs depend on
+    lcm(a, b) only, so each is computed once per lcm."""
+    orders3 = np.arange(1, max_order_3 + 1)
     by_lcm: dict[int, tuple[int, ...]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for a in range(1, max_order_12 + 1):
         for b in range(a, max_order_12 + 1):
             lab = math.lcm(a, b)
             cs = by_lcm.get(lab)
             if cs is None:
-                cs = by_lcm[lab] = tuple(c for c in range(1, max_order_3 + 1) if math.lcm(lab, c) <= max_level)
+                cs = by_lcm[lab] = tuple(orders3[np.lcm(lab, orders3) <= max_level].tolist())
             if cs:
-                tasks.append((a, b, cs))
-    return tasks
+                groups.setdefault(cs, []).append((a, b))
+    return [(tuple(pairs), cs) for cs, pairs in groups.items()]
 
 
 def _solution_orbits(max_order_12: int, max_order_3: int, max_level: int, workers: int) -> list[tuple[Vector, ...]]:
@@ -427,9 +468,9 @@ def _solution_orbits(max_order_12: int, max_order_3: int, max_level: int, worker
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            chunks = pool.map(_solve_order_pair, tasks)
+            chunks = pool.map(_solve_order_pairs, tasks)
     else:
-        chunks = [_solve_order_pair(t) for t in tasks]
+        chunks = [_solve_order_pairs(t) for t in tasks]
     orbits = []
     for chunk in chunks:
         for m, ks in chunk:
@@ -450,11 +491,13 @@ def solve_bounded(
     The search is complete within these bounds.  It covers every order
     triple with order(eta1) <= order(eta2), eta1 in the lower half of its
     inversion orbit, and then re-expands by the inversion and swap
-    symmetries.  Each order pair (a, b) is one task: a float prefilter over
-    all its eta3 orders, then exact confirmation of every candidate by
-    is_solution.  Confirmed zeros and their images stay integer exponent
-    vectors (m, (k1, k2, k3)) over m = lcm(2, orders); each distinct one
-    becomes a SolutionTriple once, in sorted order, for the returned list.
+    symmetries.  Each set of eta3 orders, which depends on lcm(a, b) only, is
+    one task: a float prefilter over the stacked rows of every order pair
+    (a, b) that admits that set against the columns of all its eta3 orders,
+    then exact confirmation of every candidate by is_solution.  Confirmed
+    zeros and their images stay integer exponent vectors (m, (k1, k2, k3))
+    over m = lcm(2, orders); each distinct one becomes a SolutionTriple once,
+    in sorted order, for the returned list.
     """
     orbits = _solution_orbits(max_order_12, max_order_3, max_level, workers)
     return _from_keys(sorted({_root_key(m, ks) for orbit in orbits for m, ks in orbit}))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from orderone import cli, serialize
-from orderone.intpoly import IntPoly
+from orderone.intpoly import IntPoly, decimal_to_int
 from orderone.relations import Relation, enumerate_indecomposable
 from orderone.roots import RootOfUnity
 from orderone.solver import SolutionPattern, SolutionTriple, solve_bounded
@@ -148,11 +148,16 @@ def test_cache_write_failing_partway_leaves_no_entry(tmp_path, monkeypatch):
             "3f145f1bf09174c8a19788a7eb40e89a1d9a12a2f73870022d79c3a4fff1b6ed",
         ),
         (["verify-table2"], "3a8ea9b4f640451688c835b0abfbf0fcec43894a103abecdffd9d87068ee616b"),
+        (
+            ["solve-g", "--max-order12", "64", "--max-order3", "64", "--max-level", "840"],
+            "7569a107812fc60f8ac895657e91d4d8013af5419cca2ca0770184ebc553bd5d",
+        ),
     ],
 )
 def test_cli_solver_stdout_is_pinned(tmp_path, args, sha256):
-    """Byte-for-byte stdout of the solver subcommands at the paper's bounds,
-    on a fresh cache and again from the cache."""
+    """Byte-for-byte stdout of the solver subcommands at the paper's bounds
+    and on a box whose eta3-order sets stack more rows than one prefilter
+    chunk holds, on a fresh cache and again from the cache."""
     for _ in range(2):
         res = subprocess.run(
             [sys.executable, "-m", "orderone", "--cache-dir", str(tmp_path), *args],
@@ -317,6 +322,22 @@ def test_cli_weil(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["extended"] == [4, 0, 1]
     assert doc["newton"] == [["1/2", 2]]
+
+
+def test_cli_weil_reads_a_long_integer_literal(tmp_path):
+    """A --poly coefficient past Python's default int-to-str limit (4300
+    digits) reads the same as a JSON integer literal and as a decimal
+    string, and its output prints."""
+    ones = "1" * 5000
+    outs = []
+    for i, text in enumerate([f"[1, {ones}, 1]", f'[1, "{ones}", 1]']):
+        poly = tmp_path / f"p{i}.json"
+        poly.write_text(text)
+        status, out, err = main_in_process(["weil", "--poly", str(poly), "--ordinary"], tmp_path)
+        assert (status, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert serialize.decode_poly(json.loads(outs[0])["poly"]) == IntPoly([1, decimal_to_int(ones), 1])
 
 
 @pytest.mark.parametrize("text", ["5", "null", "[[1], 1]", "[1.5, 1]", "[true, 1]"])

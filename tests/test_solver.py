@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -288,11 +289,45 @@ def test_parametric_verdict_is_constant_on_symmetry_images():
         assert is_parametric(apply_symmetry(2, t)) == verdict, t
 
 
-def test_workers_do_not_change_results():
-    assert len(solver._order_pair_tasks(6, 6, 24)) == 20  # one task per order pair
-    a = solve_bounded(6, 6, 24, workers=1)
-    b = solve_bounded(6, 6, 24, workers=2)
-    assert a == b
+# PREFILTER_ROWS = 3 and PREFILTER_BLOCK = 7 cut the stacked rows of one
+# eta3-order set into 3-row chunks, some starting inside one pair's rows, and
+# each chunk into blocks of at most 7 points, some starting inside one eta3
+# order's columns
+SPLIT_GRID = pytest.mark.parametrize("rows, block", [(None, None), (3, 7)], ids=["default", "split"])
+
+
+def split_grid(monkeypatch, rows, block):
+    if rows is not None:
+        monkeypatch.setattr(solver, "PREFILTER_ROWS", rows)
+        monkeypatch.setattr(solver, "PREFILTER_BLOCK", block)
+
+
+def grid_is_split(tasks) -> bool:
+    """Some task's grid is cut inside one pair's rows and inside one order's columns."""
+    for pairs, cs in tasks:
+        tops, lefts = set(), set()
+        for top, left, half_g in solver._prefilter_blocks(pairs, cs):
+            tops.add(top)
+            lefts.add(left)
+        col_starts = set(itertools.accumulate((len(primitive(c)) for c in cs), initial=0))
+        row_starts = set(itertools.accumulate(solver._row_ends(pairs), initial=0))
+        if tops - row_starts and lefts - col_starts:
+            return True
+    return False
+
+
+def test_workers_do_not_change_results(monkeypatch):
+    """workers=2 maps the tasks of (6, 6, 24) to a pool, with the default
+    grid and with one split in rows and columns (a pool started by fork, the
+    default on Linux, inherits the patched sizes)."""
+    for rows, block in [(None, None), (3, 7)]:
+        split_grid(monkeypatch, rows, block)
+        tasks = solver._order_pair_tasks(6, 6, 24)
+        assert len(tasks) == 5  # one task per eta3-order set, 20 order pairs
+        want = [(a, b) for a in range(1, 7) for b in range(a, 7) if math.lcm(a, b) <= 24]
+        assert sorted(pair for pairs, _ in tasks for pair in pairs) == want
+        assert grid_is_split(tasks) == (rows is not None)
+        assert solve_bounded(6, 6, 24, workers=1) == solve_bounded(6, 6, 24, workers=2)
 
 
 # -- reference routes ------------------------------------------------------------
@@ -423,11 +458,12 @@ def test_folded_eval_g_matches_fourteen_root_sum():
         assert got.is_zero() == want.is_zero(), t
 
 
-@pytest.mark.parametrize("block", [solver.PREFILTER_BLOCK, 7])
-def test_batched_prefilter_candidates_match_per_triple_masks(monkeypatch, block):
-    """Every order triple of (12, 12, 60): the points the batched pair grid
-    sends to the exact check are those of the per-triple masks, also when the
-    grid is cut into blocks that split the columns of one eta3 order."""
+@SPLIT_GRID
+def test_batched_prefilter_candidates_match_per_triple_masks(monkeypatch, rows, block):
+    """Every order triple of (12, 12, 60): the points the batched grid of
+    each eta3-order set sends to the exact check are those of the
+    per-triple masks, each sent once, also when the grid is cut into chunks
+    and blocks that split one pair's rows and one eta3 order's columns."""
     candidates = []
 
     def recording_is_solution(t):
@@ -435,26 +471,47 @@ def test_batched_prefilter_candidates_match_per_triple_masks(monkeypatch, block)
         return is_solution(t)
 
     monkeypatch.setattr(solver, "is_solution", recording_is_solution)
-    monkeypatch.setattr(solver, "PREFILTER_BLOCK", block)
+    split_grid(monkeypatch, rows, block)
     tasks = solver._order_pair_tasks(12, 12, 60)
+    assert grid_is_split(tasks) == (rows is not None)
     want = set()
-    for a, b, cs in tasks:
-        for c in cs:
-            want |= per_triple_candidates(a, b, c)
-        solver._solve_order_pair((a, b, cs))
+    for pairs, cs in tasks:
+        for a, b in pairs:
+            for c in cs:
+                want |= per_triple_candidates(a, b, c)
+        solver._solve_order_pairs((pairs, cs))
     got = {(t.eta1.order, t.eta1.num, t.eta2.order, t.eta2.num, t.eta3.order, t.eta3.num) for t in candidates}
     assert len(got) == len(candidates)
-    assert sum(len(cs) for _, _, cs in tasks) == 568
+    assert sum(len(pairs) * len(cs) for pairs, cs in tasks) == 568
     assert got == want
 
 
+@SPLIT_GRID
+def test_prefilter_blocks_tile_the_grid(monkeypatch, rows, block):
+    """The blocks of each eta3-order set of (12, 12, 60) cover its grid once:
+    assembled, they are the per-pair grids _order_pair_rows(a, b) @
+    _eta3_columns(c), stacked by pair and concatenated by order, to within
+    the prefilter's error bound."""
+    split_grid(monkeypatch, rows, block)
+    for pairs, cs in solver._order_pair_tasks(12, 12, 60):
+        want = np.vstack([np.hstack([solver._order_pair_rows(a, b) @ solver._eta3_columns(c) for c in cs]) for a, b in pairs])
+        got = np.full(want.shape, np.nan)
+        for top, left, half_g in solver._prefilter_blocks(pairs, cs):
+            h, w = half_g.shape
+            assert np.isnan(got[top : top + h, left : left + w]).all()
+            got[top : top + h, left : left + w] = half_g
+        assert np.abs(got - want).max() < PREFILTER_ERROR_BOUND
+
+
 def test_task_list_includes_levels_with_large_totient():
-    """No order triple inside the bounds is skipped: 91 = lcm(7, 13) has phi 72."""
+    """No order triple inside the bounds is skipped: 91 = lcm(7, 13) has phi
+    72.  Each order pair is in one task, and each task is the one set of
+    eta3 orders that its pairs admit."""
     tasks = solver._order_pair_tasks(32, 32, 120)
-    levels = {math.lcm(a, b, c) for a, b, cs in tasks for c in cs}
+    levels = {math.lcm(a, b, c) for pairs, cs in tasks for a, b in pairs for c in cs}
     assert {91, 95, 115, 117, 119} <= levels
     assert euler_phi(91) == 72
-    assert (7, 13) in {(a, b) for a, b, cs in tasks if 1 in cs}
+    assert (7, 13) in {pair for pairs, cs in tasks if 1 in cs for pair in pairs}
     want = {
         (a, b, c)
         for a in range(1, 33)
@@ -462,27 +519,44 @@ def test_task_list_includes_levels_with_large_totient():
         for c in range(1, 33)
         if math.lcm(a, b, c) <= 120
     }
-    assert {(a, b, c) for a, b, cs in tasks for c in cs} == want
+    assert {(a, b, c) for pairs, cs in tasks for a, b in pairs for c in cs} == want
+    pairs = [pair for pairs, _ in tasks for pair in pairs]
+    assert len(pairs) == len(set(pairs))
+    assert len({cs for _, cs in tasks}) == len(tasks)
+    for pairs, cs in tasks:
+        assert all(cs == tuple(c for c in range(1, 33) if math.lcm(a, b, c) <= 120) for a, b in pairs)
 
 
 def test_prefilter_margin_at_confirmed_solutions():
     """The float |g| the prefilter reads at every confirmed solution of
-    (32, 32, 120) is inside the derived error bound, far below the tolerance."""
+    (32, 32, 120), in the block of its eta3-order set's grid that holds it,
+    is inside the derived error bound, far below the tolerance."""
     assert PREFILTER_ERROR_BOUND < 1e-12 < PREFILTER_TOLERANCE
-    grids = {}
-    worst, checked = 0.0, 0
+    canonical = {}
     for t in solve_bounded(32, 32, 120):
         (a, k1), (b, k2), (c, k3) = ((e.order, e.num) for e in (t.eta1, t.eta2, t.eta3))
-        if a > b or 2 * k1 > a:
-            continue  # only the canonical half reaches the prefilter
-        if (a, b, c) not in grids:
-            rows, k1s, k2s = solver._order_pair_rows(a, b)
-            values = 2 * np.abs(rows @ solver._eta3_columns(c))
-            grids[a, b, c] = values.reshape(len(k1s), len(k2s), -1), k1s, k2s
-        values, k1s, k2s = grids[a, b, c]
-        worst = max(worst, values[k1s.index(k1), k2s.index(k2), primitive(c).index(k3)])
-        checked += 1
-    assert checked > 150
+        if a <= b and 2 * k1 <= a:  # only the canonical half reaches the prefilter
+            canonical.setdefault((a, b, c), []).append((k1, k2, k3))
+    worst, checked, want = 0.0, 0, 0
+    for pairs, cs in solver._order_pair_tasks(32, 32, 120):
+        cells, top = [], 0
+        for a, b in pairs:
+            k1s, k2s = [k for k in primitive(a) if 2 * k <= a], primitive(b)
+            left = 0
+            for c in cs:
+                for k1, k2, k3 in canonical.get((a, b, c), ()):
+                    row = top + k1s.index(k1) * len(k2s) + k2s.index(k2)
+                    cells.append((row, left + primitive(c).index(k3)))
+                left += len(primitive(c))
+            top += len(k1s) * len(k2s)
+        want += len(cells)
+        for top, left, half_g in solver._prefilter_blocks(pairs, cs):
+            h, w = half_g.shape
+            for row, col in cells:
+                if top <= row < top + h and left <= col < left + w:
+                    worst = max(worst, 2 * abs(half_g[row - top, col - left]))
+                    checked += 1
+    assert checked == want == sum(map(len, canonical.values())) > 150
     assert worst < PREFILTER_ERROR_BOUND
 
 
