@@ -8,10 +8,15 @@ Two independent routes are reconciled for every class: a closed-form case
 split on n, and an oracle that measures the collapse of the eigenvalue field
 under base extension through exact radical degrees.
 
+The oracle and the isogeny test read each factor's Weil polynomial w as it
+is.  By Honda-Tate w = q0^e for an irreducible q0, so every extension of w is
+the e-th power of the same extension of q0, with the same roots and the same
+radical: no squarefree part of w is taken.
+
 The oracle first bounds every m-th extension's radical degree mod a prime p.
-Row m, q0's power sums p_0, p_m, ..., p_(2d-1)m mod p (d = deg q0), holds the
+Row m, w's power sums p_0, p_m, ..., p_(2d-1)m mod p (d = deg w), holds the
 power sums s_k of the m-th extension ext mod p.  Only these entries are read,
-by baby steps and giant steps over q0's companion shift C: for the largest
+by baby steps and giant steps over w's companion shift C: for the largest
 index N = (2d - 1) max(m_set) and B = isqrt(N) + 1, p_(aB+b) is the row
 e_0^T C^(aB) times the window (p_b, ..., p_(b+d-1)), so about 2 sqrt(N) sums
 and rows are built in int64, not all N sums.  Residues stay below p and every
@@ -30,8 +35,8 @@ built over Z and, when r divides d, the monic rad of degree r with power sums
 p_k(ext) / (d / r) is tried: rad^(d/r) = ext certifies it, as the exact radical
 degree is then at most r, hence equal to it, and rad is the radical.  Without
 that certificate (a non-integral quotient or power sum inversion, or an unequal
-power) the PRS radical of ext decides, so the PRS gcd runs only on Weil
-polynomials and on such fallbacks.
+power) the PRS radical of ext decides, so the PRS gcd runs only on such
+fallbacks.
 
 The isogeny test looks for a root ratio alpha/beta that is a root of unity of
 order dividing SPORADIC_LCM = 2520, which every sporadic ratio order divides.
@@ -44,12 +49,11 @@ proves the pair not isogenous.  Every other pair gets the exact test over the
 divisors dd of 2520, which folds T(q x) mod x^dd - 1 before dividing by
 Phi_dd, which divides x^dd - 1.
 
-The oracle corrects the raw degree drop in two documented situations:
-  * whenever the extended radical is a real Weil polynomial (linear, or
-    x^2 - q^m with m odd), the extension's Honda-Tate exponent is 2 and the
-    apparent collapse doubles the true multiplicity;
-  * the degree-4 class with Weil polynomial (x^2-2)^2 carries exponent e = 2
-    already over the prime field, entering the count as e * deg / (e_m * rad).
+The multiplicity at m is one formula, deg w / (e_m * deg rad ext_m(w)), where
+e_m is the Honda-Tate exponent of the extended class: 2 whenever the extended
+radical is a real Weil polynomial (linear, or x^2 - q^m with m odd), else 1.
+The degree-4 class with Weil polynomial (x^2-2)^2 is an instance: its exponent
+2 over the prime field is the e_1 = 2 of its real radical x^2 - 2.
 """
 from __future__ import annotations
 
@@ -285,50 +289,51 @@ def _extension_exponent(rad: IntPoly, m: int) -> int:
     return 1
 
 
-def _exact_f(q0: IntPoly, m: int, rdeg: int, e: int) -> int:
-    """Corrected multiplicity e * deg q0 / (e_m * deg rad) at extension degree m,
-    rdeg being the radical degree there mod a profile prime."""
-    rad = _exact_drop(q0, m, rdeg)
-    num, den = e * q0.degree(), _extension_exponent(rad, m) * rad.degree()
+def _exact_f(weil: IntPoly, m: int, rdeg: int) -> int:
+    """Corrected multiplicity deg weil / (e_m * deg rad) at extension degree m,
+    rdeg being the radical degree there mod a profile prime.  A quotient that
+    is not an integer means weil is not a simple class's Weil polynomial."""
+    rad = _exact_drop(weil, m, rdeg)
+    num, den = weil.degree(), _extension_exponent(rad, m) * rad.degree()
     if num % den:
         raise ArithmeticError("corrected multiplicity is not an integer")
     return num // den
 
 
-def f_oracle(q0: IntPoly, m_set, e: int = 1) -> tuple[int, int]:
+def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
     """Geometric multiplicity from radical degrees: (f, smallest attaining m).
 
-    q0 is the squarefree Weil polynomial of the class (radical of the full
-    Weil polynomial, which equals q0^e).  The profile over m_set is bounded
-    above modulo one prime (the next only if it degenerates) and pinned by
-    exact verification at the candidate maxima, so the result is exact while
-    large extension degrees are never expanded over Z.
+    weil is the Weil polynomial of a simple class, a power of an irreducible,
+    squarefree or not.  The profile over m_set is bounded above modulo one
+    prime (the next only if it degenerates) and pinned by exact verification
+    at the candidate maxima, so the result is exact while large extension
+    degrees are never expanded over Z.
     """
     m_set = sorted(set(m_set))
-    d = q0.degree()
+    d = weil.degree()
 
     for p in PROFILE_PRIMES:
         # only a degenerate prime moves on: p <= d, or a radical degree of 0
         # m = 1 too: the baseline's exact step needs its modular radical degree
-        profile = _radical_degree_profile(q0, sorted(set(m_set) | {1}), p) if p > d else {}
+        profile = _radical_degree_profile(weil, sorted(set(m_set) | {1}), p) if p > d else {}
         if profile and min(profile.values()) > 0:
             break
     else:
         raise ArithmeticError("degenerate modular radical degree for every profile prime")
-    upper = {m: Fraction(e * d, rdeg) for m, rdeg in profile.items()}
-    # baseline at m = 1 (q0 is squarefree, but the exponent may act)
-    best_f, best_m = _exact_f(q0, 1, profile[1], e), 1
+    upper = {m: Fraction(d, rdeg) for m, rdeg in profile.items()}
+    # baseline at m = 1: a real radical or a non-squarefree weil may act already
+    best_f, best_m = _exact_f(weil, 1, profile[1]), 1
     for m in sorted(m_set, key=lambda m: (-upper[m], m)):
         if upper[m] <= best_f:
             break
-        fm = _exact_f(q0, m, profile[m], e)
+        fm = _exact_f(weil, m, profile[m])
         if fm > best_f:
             best_f, best_m = fm, m
     # smallest attaining m: check candidates below the current witness
     for m in m_set:
         if m >= best_m:
             break
-        if upper[m] >= best_f and _exact_f(q0, m, profile[m], e) == best_f:
+        if upper[m] >= best_f and _exact_f(weil, m, profile[m]) == best_f:
             best_m = m
             break
     return best_f, best_m
@@ -352,18 +357,11 @@ def f_from_formula(n: int) -> int:
     return 2
 
 
-@lru_cache(maxsize=None)
-def _squarefree_weil(weil: IntPoly) -> IntPoly:
-    """q0, the radical of a factor's Weil polynomial, by one PRS gcd per
-    factor: build_reports and every pair test of geom_isogenous read it."""
-    return radical(weil)
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     n: int
     simple_factor: IntPoly         # real Weil polynomial of the factor
-    weil: IntPoly                  # Weil polynomial of the simple class (with exponent)
+    weil: IntPoly                  # Weil polynomial of the simple class, as the oracle reads it
     dimension: int
     ordinary: bool
     f_formula: int
@@ -393,16 +391,11 @@ def build_reports(n: int) -> tuple[DecompositionReport, ...]:
             continue
         seen.append(factor)
         weil = real_to_weil(factor, F2)
-        q0 = _squarefree_weil(weil)
-        e = weil.degree() // q0.degree()
-        if e > 1 and q0 != IntPoly([-F2.p, 0, 1]):
-            # the only non-squarefree Weil polynomial among these classes is (x^2-p)^2
-            raise ArithmeticError("unexpected non-squarefree Weil polynomial")
         polygon = newton_polygon(weil, F2)
         if np_forces_geom_simple(polygon):
             f_o, m_star = 1, 1
         else:
-            f_o, m_star = f_oracle(q0, default_m_set(n), e=e)
+            f_o, m_star = f_oracle(weil, default_m_set(n))
         out.append(
             DecompositionReport(
                 n=n,
@@ -484,11 +477,10 @@ def geom_isogenous(n1: int, n2: int) -> bool:
                 continue  # same class is trivially isogenous; need distinct factors
             if r1.dimension * r2.f_oracle != r2.dimension * r1.f_oracle:
                 continue  # geometric simple factors have different dimensions
-            q1 = _squarefree_weil(r1.weil)
-            q2 = _squarefree_weil(r2.weil)
-            if p > max(q1.degree(), q2.degree()) and _no_shared_root_mod_p(q1, q2, p):
+            w1, w2 = r1.weil, r2.weil
+            if p > max(w1.degree(), w2.degree()) and _no_shared_root_mod_p(w1, w2, p):
                 continue
-            if _has_root_of_unity_ratio(q1, q2):
+            if _has_root_of_unity_ratio(w1, w2):
                 return True
     return False
 

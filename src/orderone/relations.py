@@ -485,8 +485,8 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
     if not _vanishes(vecs, mod2):
         raise ValueError("input is not a valid relation")
     c = _conjugation_involution(values)
-    masks = [_bitmask(v) for v in vecs]
     if mod2:
+        masks = [_bitmask(v) for v in vecs]
         parts = _mod2_partition(masks, c, frozenset(range(len(values))))
         return [Relation.from_values([values[i] for i in sorted(p)]) for p in parts]
     if r.weight > 18:

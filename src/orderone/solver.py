@@ -116,22 +116,7 @@ GENERATORS = (
 )
 
 
-@lru_cache(maxsize=1)
-def g_expr() -> LaurentExpr:
-    """The 14-term equation whose root-of-unity zeros classify eigenvalue ratios."""
-    terms = [
-        (1, (1, 0, 0)), (1, (-1, 0, 0)),
-        (1, (0, 1, 0)), (1, (0, -1, 0)),
-        (1, (0, 0, 1)), (1, (0, 0, -1)),
-        (-1, (1, 0, -1)), (-1, (-1, 0, 1)),
-        (-1, (0, 1, -1)), (-1, (0, -1, 1)),
-        (1, (1, 1, -1)), (1, (-1, -1, 1)),
-        (-2, (1, 1, -2)), (-2, (-1, -1, 2)),
-    ]
-    return LaurentExpr.make(terms)
-
-
-# the 12 signed monomials whose sum plus 2u + 2u^-1 is g
+# the 12 signed monomials whose sum, with U_TERM and U_INV_TERM twice each, is g
 S_MONOMIALS: tuple[Term, ...] = (
     (1, (1, 0, 0)), (1, (-1, 0, 0)),
     (1, (0, 1, 0)), (1, (0, -1, 0)),
@@ -142,6 +127,12 @@ S_MONOMIALS: tuple[Term, ...] = (
 )
 U_TERM: Term = (-1, (1, 1, -2))
 U_INV_TERM: Term = (-1, (-1, -1, 2))
+
+
+@lru_cache(maxsize=1)
+def g_expr() -> LaurentExpr:
+    """The 14-term equation whose root-of-unity zeros classify eigenvalue ratios."""
+    return LaurentExpr.make([*S_MONOMIALS, U_TERM, U_TERM, U_INV_TERM, U_INV_TERM])
 
 
 def apply_symmetry(k: int, obj):

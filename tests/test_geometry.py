@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -40,14 +41,14 @@ def test_default_m_set_contains_parametric_orders():
         assert any(m % (2 * n) == 0 or m % n == 0 for m in ms), n
 
 
-def naive_oracle(q0, m_set):
+def naive_oracle(weil, m_set):
     """Plain radical-degree profile, expanded exactly for every m."""
     from orderone.geometry import _extension_exponent
 
-    d = q0.degree()
+    d = weil.degree()
     best, best_m = 1, 1
     for m in sorted(m_set):
-        ext = base_extension(q0, m)
+        ext = base_extension(weil, m)
         rad = radical(ext)
         em = _extension_exponent(rad, m)
         fm = d // (em * rad.degree())
@@ -61,20 +62,31 @@ def test_oracle_matches_naive_profile(n):
     rec = build_record(n)
     for factor in set(rec.simple_factors):
         weil = real_to_weil(factor, F2)
-        q0 = radical(weil)
         small = [m for m in default_m_set(n) if m <= 64]
-        got = f_oracle(q0, small, e=1)
-        want = naive_oracle(q0, small)
+        got = f_oracle(weil, small)
+        want = naive_oracle(weil, small)
         assert got[0] == want[0]
         assert got[1] == want[1]
 
 
 def test_oracle_exceptional_class():
     # Weil polynomial (x^2-2)^2: exponent 2 over the prime field, and the
-    # extension at m = 2 is the square of a rational point class
-    q0 = IntPoly([-2, 0, 1])
-    f, m = f_oracle(q0, [1, 2, 3, 4, 6, 8], e=2)
-    assert (f, m) == (2, 2)
+    # extension at m = 2 is the square of a rational point class.  Its radical
+    # x^2 - 2 is no simple class's Weil polynomial: the multiplicity at m = 1
+    # would be 2 / (2 * 2), which is not an integer.
+    ms = [1, 2, 3, 4, 6, 8]
+    assert f_oracle(IntPoly([4, 0, -4, 0, 1]), ms) == (2, 2)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        f_oracle(IntPoly([-2, 0, 1]), ms)
+
+
+def test_only_the_first_class_has_a_non_squarefree_weil_polynomial():
+    """Every factor's Weil polynomial for n <= 64 is squarefree, by the PRS
+    radical, except n = 1's (x^2 - 2)^2; the oracle reads both kinds as they are."""
+    square = {
+        (n, r.weil) for n in range(1, 65) for r in build_reports(n) if radical(r.weil) != r.weil
+    }
+    assert square == {(1, IntPoly([4, 0, -4, 0, 1]))}
 
 
 def test_oracle_examples_from_reports():
@@ -112,13 +124,19 @@ def test_geom_isogenous_symmetric():
     assert geom_isogenous(3, 30) == geom_isogenous(30, 3)
 
 
-def test_pair_table_runs_no_prs_radical_after_the_reports(monkeypatch):
-    """build_reports finds each factor's q0 by one PRS gcd, and the pair
-    tests read that q0 again instead of running their own."""
-    for n in range(1, 31):
-        build_reports(n)
+def test_decompose_pass_runs_no_prs_radical(monkeypatch):
+    """The reports for n <= 32 and the pair table for n <= 30 read each
+    factor's Weil polynomial as it is: the PRS radical runs nowhere, counted at
+    every orderone name it is bound to, from cold geometry caches on."""
     calls = []
-    monkeypatch.setattr(geometry, "radical", lambda f: calls.append(f) or radical(f))
+    for name, mod in list(sys.modules.items()):
+        if (name == "orderone" or name.startswith("orderone.")) and getattr(mod, "radical", None) is radical:
+            monkeypatch.setattr(mod, "radical", lambda f: calls.append(f) or radical(f))
+    assert geometry.radical is not radical
+    for cached in [f for f in vars(geometry).values() if hasattr(f, "cache_clear")]:
+        cached.cache_clear()
+    for n in range(1, 33):
+        build_reports(n)
     assert geometric_isogeny_pairs(30) == set(EXPECTED_GEOM_PAIRS)
     assert calls == []
 
@@ -515,8 +533,9 @@ def test_f_oracle_does_not_retry_exact_failures(monkeypatch):
 
 
 def _prefiltered_factor_pairs(max_n):
-    """(n1, n2, q1, q2) for every factor pair n1 <= n2 <= max_n, of distinct
-    factors, that passes the dimension prefilter of geom_isogenous."""
+    """(n1, n2, w1, w2), with the two factors' Weil polynomials, for every
+    factor pair n1 <= n2 <= max_n, of distinct factors, that passes the
+    dimension prefilter of geom_isogenous."""
     for n2 in range(1, max_n + 1):
         for n1 in range(1, n2 + 1):
             reps1, reps2 = build_reports(n1), build_reports(n2)
@@ -526,7 +545,7 @@ def _prefiltered_factor_pairs(max_n):
                         continue
                     if r1.dimension * r2.f_oracle != r2.dimension * r1.f_oracle:
                         continue
-                    yield n1, n2, radical(r1.weil), radical(r2.weil)
+                    yield n1, n2, r1.weil, r2.weil
 
 
 def test_fold_agrees_with_direct_division():
@@ -536,8 +555,8 @@ def test_fold_agrees_with_direct_division():
     from orderone.geometry import _RATIO_ORDERS, _cyclotomic_divides, _scaled_ratio_poly
 
     tested = hits = 0
-    for n1, n2, q1, q2 in _prefiltered_factor_pairs(30):
-        scaled = _scaled_ratio_poly(q1, q2)
+    for n1, n2, w1, w2 in _prefiltered_factor_pairs(30):
+        scaled = _scaled_ratio_poly(w1, w2)
         for dd in _RATIO_ORDERS:
             direct = (scaled % cyclotomic_poly(dd)).is_zero()
             assert _cyclotomic_divides(scaled, dd) == direct, (n1, n2, dd)
@@ -607,10 +626,10 @@ def test_pair_screen_negatives_are_exact_negatives():
 
     assert SPORADIC_LCM == 2520 and _RATIO_ORDERS == tuple(divisors(2520))
     passed, negatives = set(), 0
-    for n1, n2, q1, q2 in _prefiltered_factor_pairs(30):
-        if _no_shared_root_mod_p(q1, q2, PROFILE_PRIMES[0]):
+    for n1, n2, w1, w2 in _prefiltered_factor_pairs(30):
+        if _no_shared_root_mod_p(w1, w2, PROFILE_PRIMES[0]):
             negatives += 1
-            assert not _has_root_of_unity_ratio(q1, q2), (n1, n2)
+            assert not _has_root_of_unity_ratio(w1, w2), (n1, n2)
         else:
             passed.add(frozenset((n1, n2)))
     assert negatives > 0

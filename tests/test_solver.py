@@ -36,14 +36,19 @@ r = RootOfUnity.make
 
 
 def test_g_has_fourteen_terms_with_pinned_coefficients():
+    """All 14 (exponent, coefficient) pairs, written out independently of the
+    S_MONOMIALS table that g_expr is built from."""
     g = g_expr()
+    assert dict(g.terms) == {
+        (1, 0, 0): 1, (-1, 0, 0): 1,
+        (0, 1, 0): 1, (0, -1, 0): 1,
+        (0, 0, 1): 1, (0, 0, -1): 1,
+        (1, 0, -1): -1, (-1, 0, 1): -1,
+        (0, 1, -1): -1, (0, -1, 1): -1,
+        (1, 1, -1): 1, (-1, -1, 1): 1,
+        (1, 1, -2): -2, (-1, -1, 2): -2,
+    }
     assert len(g.terms) == 14
-    d = dict(g.terms)
-    assert d[(1, 1, -2)] == -2
-    assert d[(-1, -1, 2)] == -2
-    assert d[(1, 0, 0)] == 1
-    assert d[(1, 0, -1)] == -1
-    assert d[(1, 1, -1)] == 1
     # total weight as a relation, with the double terms counted twice
     assert sum(abs(c) for _, c in g.terms) == 16
 

@@ -86,6 +86,18 @@ def test_one_pseudo_remainder_chain():
     assert prem_callers == ["intpoly.py:sturm_sequence"]
 
 
+def test_oracle_reads_the_weil_polynomial_as_it_is():
+    """The oracle and the pair test read each factor's Weil polynomial itself:
+    geometry takes no squarefree part of it and threads no exponent through
+    the oracle."""
+    tree = ast.parse((Path(orderone.__file__).parent / "geometry.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_squarefree_weil" not in functions
+    args = functions["f_oracle"].args
+    params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
+    assert params == ["weil", "m_set"] and args.vararg is None and args.kwarg is None
+
+
 def test_every_codec_has_a_library_caller():
     """Each encode_*/decode_* in serialize.py is called from src/orderone/ or
     scripts/, outside its own body, so codecs only the tests call do not grow back."""
