@@ -19,15 +19,19 @@ power sums s_k of the m-th extension ext mod p.  Only these entries are read,
 by baby steps and giant steps over w's companion shift C: for the largest
 index N = (2d - 1) max(m_set) and B = isqrt(N) + 1, p_(aB+b) is the row
 e_0^T C^(aB) times the window (p_b, ..., p_(b+d-1)), so about 2 sqrt(N) sums
-and rows are built in int64, not all N sums.  Residues stay below p and every
-product sums d terms below (p-1)^2, so nothing wraps while d (p-1)^2 < 2^63;
-the reader also refuses p <= d.  Over F_p-bar, s_k = sum mu_g g^k
-over the distinct roots g of ext, with multiplicities 1 <= mu_g <= d < p, so
+and rows are built in int64, not all N sums; the entries are gathered in blocks
+of GATHER_BLOCK residues, which bounds the memory one gather holds.  Residues
+stay below p and every product sums d terms below (p-1)^2, so nothing wraps
+while d (p-1)^2 < 2^63; the reader also refuses p <= d.  Over F_p-bar,
+s_k = sum mu_g g^k over the distinct roots g of ext, with multiplicities
+1 <= mu_g <= d < p, so
 every mu_g is a unit: the minimal recurrence of (s_k) is prod (x - g), and the
 linear complexity of the row is the number of distinct roots,
 d - deg gcd(ext, ext') mod p.  Berlekamp-Massey finds a complexity L <= d
-exactly from these 2d terms, for all rows in one pass; it reduces every product
-of two residues (< 2^50) mod p before summing, so nothing wraps there either.
+exactly from these 2d terms, for all rows in one pass.  Its update
+gamma lam - delta x prev is one difference of two products of residues, each
+below (p-1)^2 < 2^63, reduced once; its discrepancy reduces every product mod p
+before summing, so nothing wraps there either.
 Reduction mod p can merge roots but never split them, so the modular radical
 degree r is at most the exact one and bounds the drop from above; exact
 radicals at the candidate maxima pin the result.  There the extension ext is
@@ -42,12 +46,15 @@ The isogeny test looks for a root ratio alpha/beta that is a root of unity of
 order dividing SPORADIC_LCM = 2520, which every sporadic ratio order divides.
 A ratio has such an order exactly when alpha^2520 = beta^2520, that is, when
 the 2520-th extensions of the two Weil polynomials share a root.  Each
-extension is built mod p by Newton inversion of p_2520, ..., p_2520d, read by
-the same baby-step/giant-step reader, which needs p > d.  Their exact gcd is
-then monic of positive degree and stays so mod p, so a constant gcd mod p
-proves the pair not isogenous.  Every other pair gets the exact test over the
-divisors dd of 2520, which folds T(q x) mod x^dd - 1 before dividing by
-Phi_dd, which divides x^dd - 1.
+extension is built mod p = PROFILE_PRIMES[0] by Newton inversion of
+p_2520, ..., p_2520d, which needs p > d.  These are entries 1..d of the
+profile's own row m = 2520, so each power sum is read once: the profile leaves
+those sums in _SCREEN_MEMO, and the baby-step/giant-step reader runs for the
+screen only on a factor the oracle skipped or read at another prime.  When two
+extensions share a root, their exact gcd is monic of positive degree and stays
+so mod p, so a constant gcd mod p proves the pair not isogenous.  Every other
+pair gets the exact test over the divisors dd of 2520, which folds T(q x) mod
+x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
 
 The multiplicity at m is one formula, deg w / (e_m * deg rad ext_m(w)), where
 e_m is the Honda-Tate exponent of the extended class: 2 whenever the extended
@@ -60,7 +67,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -81,6 +87,8 @@ from .weil import (
 
 # primes below 2^25: a sum of d products of residues stays below 2^63 up to degree 8191
 PROFILE_PRIMES = (33554393, 33554383, 33554371)
+# residues the power-sum reader gathers per block: 128 KiB per int64 operand
+GATHER_BLOCK = 2 ** 14
 
 # every sporadic ratio order divides it; the pair test probes its divisors
 SPORADIC_LCM = 2520
@@ -163,15 +171,16 @@ def _power_sums_at(q0: IntPoly, idx, p: int) -> np.ndarray:
         rows = np.concatenate([rows, (rows @ jump) % p])
         jump = (jump @ jump) % p
     windows = sliding_window_view(sums, d)
-    flat = idx.reshape(-1, idx.shape[-1])
+    flat = idx.ravel()
     out = np.empty(flat.shape, dtype=np.int64)
-    for row, js in zip(out, flat):  # one row at a time keeps the gathered rows small
-        a, b = np.divmod(js, step)
-        row[:] = np.einsum("ij,ij->i", rows[a], windows[b]) % p
+    chunk = max(1, GATHER_BLOCK // d)
+    for lo in range(0, len(flat), chunk):  # bounded blocks keep the gathered rows small
+        a, b = np.divmod(flat[lo:lo + chunk], step)
+        out[lo:lo + chunk] = np.einsum("ij,ij->i", rows[a], windows[b]) % p
     return out.reshape(idx.shape)
 
 
-def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
+def _from_power_sums_mod_p(ps: list[int], p: int) -> tuple[int, ...]:
     """Monic polynomial mod p, lowest coefficient first, whose roots have power
     sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d.
 
@@ -187,7 +196,7 @@ def _from_power_sums_mod_p(ps: list[int], p: int) -> list[int]:
     for k in range(1, d + 1):
         acc = ps[k - 1] + sum(map(operator.mul, coeffs[1:k], ps[k - 2::-1]))
         coeffs[k] = (-acc * inv[k]) % p
-    return coeffs[::-1]
+    return tuple(coeffs[::-1])
 
 
 def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
@@ -196,10 +205,13 @@ def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
 
     Each step replaces the connection polynomial lam by
     gamma lam - delta x prev, a nonzero multiple of the textbook update
-    lam - (delta / gamma) x prev, so no inverse mod p is taken.  Every product
-    of two residues is reduced mod p before it is summed, which keeps every
-    intermediate in int64 for any p with (p - 1)^2 < 2^63.  A complexity above
-    half the row length is not fixed by the row and raises.
+    lam - (delta / gamma) x prev, so no inverse mod p is taken.  The update
+    is reduced once: gamma lam and delta x prev are products of two residues,
+    each at most (p - 1)^2 < 2^63, so their difference fits in int64.  The
+    discrepancy delta sums up to deg lam + 1 such products, so each of them is
+    reduced mod p before it is summed.  Every intermediate thus stays in int64
+    for any p with (p - 1)^2 < 2^63.  A complexity above half the row length is
+    not fixed by the row and raises.
     """
     rows, count = seqs.shape
     width = count // 2 + 1
@@ -217,7 +229,7 @@ def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
         delta = ((lam[:, :top] * window) % p).sum(axis=1, keepdims=True) % p
         shifted[:, 1:] = prev[:, :-1]
         grow = (delta != 0) & (2 * length <= k)
-        new = (gamma * lam % p - delta * shifted % p) % p
+        new = (gamma * lam - delta * shifted) % p
         prev = np.where(grow, lam, shifted)
         gamma = np.where(grow, delta, gamma)
         length = np.where(grow, k + 1 - length, length)
@@ -227,11 +239,25 @@ def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
     return length[:, 0]
 
 
+# {(q, p): the pair screen's view of q mod p.  The profile's row m = SPORADIC_LCM
+# leaves q's power sums p_2520k (1 <= k <= d) here as int64; the first screen on
+# q replaces them by their Newton inversion, q's SPORADIC_LCM-th base extension
+# mod p as a tuple, lowest coefficient first.}
+_SCREEN_MEMO: dict[tuple[IntPoly, int], np.ndarray | tuple[int, ...]] = {}
+
+
 def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
     """{m: degree of the squarefree part of the m-th base extension mod p}, as
-    the linear complexity of p_0, p_m, ..., p_(2d-1)m of q0 mod p."""
+    the linear complexity of p_0, p_m, ..., p_(2d-1)m of q0 mod p.
+
+    The row m = SPORADIC_LCM holds p_2520k for 1 <= k <= d, the sums the pair
+    screen inverts, so they are left in _SCREEN_MEMO."""
     m_set = list(m_set)
-    seqs = _power_sums_at(q0, np.outer(m_set, np.arange(2 * q0.degree())), p)
+    d = q0.degree()
+    seqs = _power_sums_at(q0, np.outer(m_set, np.arange(2 * d)), p)
+    if SPORADIC_LCM in m_set:
+        # a copy, so the memo does not keep the whole grid alive
+        _SCREEN_MEMO.setdefault((q0, p), seqs[m_set.index(SPORADIC_LCM), 1:d + 1].copy())
     return dict(zip(m_set, _linear_complexities_mod_p(seqs, p).tolist()))
 
 
@@ -265,9 +291,15 @@ def _exact_drop(q0: IntPoly, m: int, rdeg: int) -> IntPoly:
     squarefree with the roots of ext.  Otherwise the PRS radical decides.
     The extension must be a perfect power of its radical; anything else is a
     violated structural expectation and raises.
+
+    At rdeg = d no certificate is needed: rdeg is at most the exact radical
+    degree, which is at most deg ext = d, so ext has d distinct roots and is
+    its own radical.
     """
     d = q0.degree()
     ext = base_extension(q0, m)
+    if rdeg == d:
+        return ext
     rad = _power_sum_radical(ext, rdeg)
     if rad is not None and rad ** (d // rdeg) == ext:
         return rad
@@ -320,11 +352,12 @@ def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
             break
     else:
         raise ArithmeticError("degenerate modular radical degree for every profile prime")
-    upper = {m: Fraction(d, rdeg) for m, rdeg in profile.items()}
+    # d / profile[m] bounds the multiplicity at m from above, so the smallest
+    # radical degrees come first and d <= f * profile[m] means d / profile[m] <= f
     # baseline at m = 1: a real radical or a non-squarefree weil may act already
     best_f, best_m = _exact_f(weil, 1, profile[1]), 1
-    for m in sorted(m_set, key=lambda m: (-upper[m], m)):
-        if upper[m] <= best_f:
+    for m in sorted(m_set, key=lambda m: (profile[m], m)):
+        if d <= best_f * profile[m]:
             break
         fm = _exact_f(weil, m, profile[m])
         if fm > best_f:
@@ -333,7 +366,7 @@ def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
     for m in m_set:
         if m >= best_m:
             break
-        if upper[m] >= best_f and _exact_f(weil, m, profile[m]) == best_f:
+        if d >= best_f * profile[m] and _exact_f(weil, m, profile[m]) == best_f:
             best_m = m
             break
     return best_f, best_m
@@ -444,12 +477,18 @@ def _has_root_of_unity_ratio(q1: IntPoly, q2: IntPoly) -> bool:
     return any(_cyclotomic_divides(scaled, dd) for dd in _RATIO_ORDERS)
 
 
-@lru_cache(maxsize=256)
 def _extension_mod_p(q: IntPoly, p: int) -> tuple[int, ...]:
     """The SPORADIC_LCM-th base extension of monic q mod p, lowest
-    coefficient first."""
-    ps = _power_sums_at(q, SPORADIC_LCM * np.arange(1, q.degree() + 1), p)
-    return tuple(_from_power_sums_mod_p(ps.tolist(), p))
+    coefficient first, by Newton inversion of p_2520k (1 <= k <= d) mod p.  The
+    profile has left those sums in _SCREEN_MEMO for every polynomial the oracle
+    read at p; only the others read them here.  The first call keeps the
+    inversion in their place."""
+    ext = _SCREEN_MEMO.get((q, p))
+    if not isinstance(ext, tuple):
+        if ext is None:
+            ext = _power_sums_at(q, SPORADIC_LCM * np.arange(1, q.degree() + 1), p)
+        ext = _SCREEN_MEMO[q, p] = _from_power_sums_mod_p(ext.tolist(), p)
+    return ext
 
 
 def _no_shared_root_mod_p(q1: IntPoly, q2: IntPoly, p: int) -> bool:

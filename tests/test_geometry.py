@@ -124,6 +124,13 @@ def test_geom_isogenous_symmetric():
     assert geom_isogenous(3, 30) == geom_isogenous(30, 3)
 
 
+def _clear_geometry_caches():
+    """Empty every geometry memo: the lru_caches and the screen's extensions."""
+    for cached in [f for f in vars(geometry).values() if hasattr(f, "cache_clear")]:
+        cached.cache_clear()
+    geometry._SCREEN_MEMO.clear()
+
+
 def test_decompose_pass_runs_no_prs_radical(monkeypatch):
     """The reports for n <= 32 and the pair table for n <= 30 read each
     factor's Weil polynomial as it is: the PRS radical runs nowhere, counted at
@@ -133,8 +140,7 @@ def test_decompose_pass_runs_no_prs_radical(monkeypatch):
         if (name == "orderone" or name.startswith("orderone.")) and getattr(mod, "radical", None) is radical:
             monkeypatch.setattr(mod, "radical", lambda f: calls.append(f) or radical(f))
     assert geometry.radical is not radical
-    for cached in [f for f in vars(geometry).values() if hasattr(f, "cache_clear")]:
-        cached.cache_clear()
+    _clear_geometry_caches()
     for n in range(1, 33):
         build_reports(n)
     assert geometric_isogeny_pairs(30) == set(EXPECTED_GEOM_PAIRS)
@@ -634,3 +640,107 @@ def test_pair_screen_negatives_are_exact_negatives():
             passed.add(frozenset((n1, n2)))
     assert negatives > 0
     assert EXPECTED_GEOM_PAIRS <= passed
+
+
+# -- one read of each power sum: the profile feeds the pair screen ----------------
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("n", [1, 7, 31])
+def test_power_sums_at_gathers_in_blocks(monkeypatch, n, chunk):
+    """Blocks of chunk indices, while every profile row holds 2d of them, so
+    block seams fall inside an m-row; the reader still gives the exact power
+    sums mod p."""
+    import numpy as np
+
+    from orderone.geometry import PROFILE_PRIMES, _power_sums_at
+    from orderone.intpoly import power_sums
+
+    ms = [1, 2, 3, 5, 12]
+    for q0 in _class_radicals(n):
+        d = q0.degree()
+        monkeypatch.setattr(geometry, "GATHER_BLOCK", chunk * d + d - 1)
+        assert chunk % (2 * d)  # the seam at chunk falls inside the first row
+        grid = np.outer(ms, np.arange(2 * d))
+        exact = [d] + power_sums(q0, int(grid.max()))
+        for p in PROFILE_PRIMES:
+            got = _power_sums_at(q0, grid, p)
+            want = [[exact[j] % p for j in row] for row in grid.tolist()]
+            assert got.tolist() == want, (n, chunk, p)
+
+
+def _screen_extension_by_reader(q, p):
+    """The pair screen's extension of q mod p from its own read of p_2520k."""
+    import numpy as np
+
+    from orderone.geometry import SPORADIC_LCM, _from_power_sums_mod_p, _power_sums_at
+
+    ps = _power_sums_at(q, SPORADIC_LCM * np.arange(1, q.degree() + 1), p)
+    return _from_power_sums_mod_p(ps.tolist(), p)
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)))
+def test_profile_row_gives_the_screen_extension(monkeypatch, n):
+    """For every factor the oracle reads, the profile at PROFILE_PRIMES[0]
+    leaves the sums p_2520k, and the screen inverts them to the 2520-th
+    extension mod p that its own reader and Newton inversion give, without
+    reading again."""
+    from orderone.geometry import PROFILE_PRIMES, _extension_mod_p, _radical_degree_profile
+    from orderone.weil import np_forces_geom_simple, newton_polygon
+
+    p = PROFILE_PRIMES[0]
+    ms = sorted(set(default_m_set(n)) | {1})
+    monkeypatch.setattr(geometry, "_SCREEN_MEMO", {})
+    for rep in build_reports(n):
+        if np_forces_geom_simple(newton_polygon(rep.weil, F2)):
+            continue  # the oracle does not run on this factor
+        want = _screen_extension_by_reader(rep.weil, p)
+        _radical_degree_profile(rep.weil, ms, p)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_power_sums_at", lambda *a: pytest.fail("the screen read again"))
+            assert _extension_mod_p(rep.weil, p) == want, n
+
+
+def test_decompose_pass_reads_each_power_sum_once(monkeypatch):
+    """From cold geometry caches, the reports for n <= 32 and the pair table
+    for n <= 30 call the reader once per profile (a 2-D grid, 31 factors) and,
+    for the screen (1-D), only on the factors the oracle skipped that pass the
+    dimension prefilter: those of n = 8 and n = 16."""
+    from collections import Counter
+
+    import numpy as np
+
+    calls, real = Counter(), geometry._power_sums_at
+
+    def counting(q, idx, p):
+        calls[np.ndim(idx)] += 1
+        return real(q, idx, p)
+
+    monkeypatch.setattr(geometry, "_power_sums_at", counting)
+    _clear_geometry_caches()
+    for n in range(1, 33):
+        build_reports(n)
+    assert geometric_isogeny_pairs(30) == set(EXPECTED_GEOM_PAIRS)
+    assert calls == {2: 31, 1: 2}
+
+
+def test_exact_drop_at_full_radical_degree_needs_no_radical(monkeypatch):
+    """A modular radical degree of d makes the extension its own radical: no
+    power-sum radical and no PRS radical runs."""
+    from orderone.geometry import PROFILE_PRIMES, _exact_drop, _radical_degree_profile
+
+    weils = [rep.weil for n in (3, 5, 7, 30) for rep in build_reports(n)]
+    seen = _counting_radical(monkeypatch)
+    tried = []
+    monkeypatch.setattr(geometry, "_power_sum_radical", lambda ext, rdeg: tried.append(ext))
+    ms, checked = [1, 2, 3, 4, 6, 7, 15], 0
+    for weil in weils:
+        d = weil.degree()
+        profile = _radical_degree_profile(weil, ms, PROFILE_PRIMES[0])
+        for m in ms:
+            if profile[m] == d:
+                ext = base_extension(weil, m)
+                assert _exact_drop(weil, m, d) == ext == radical(ext), (weil, m)
+                checked += 1
+    assert checked > 0
+    assert seen == [] and tried == []
