@@ -97,7 +97,7 @@ def _cmd_weil(ns: argparse.Namespace) -> int:
         doc["newton"] = serialize.encode_newton(newton_polygon(poly, ctx))
     if ns.ordinary:
         doc["ordinary"] = is_ordinary(poly, ctx)
-    if ns.extend:
+    if ns.extend is not None:
         doc["extended"] = serialize.encode_poly(base_extension(poly, ns.extend))
     if ns.real_weil:
         doc["real_weil"] = is_real_weil(poly, ctx)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help="JSON file with ascending coefficients")
     p.add_argument("--newton", action="store_true")
     p.add_argument("--ordinary", action="store_true")
-    p.add_argument("--extend", type=int, default=0)
+    p.add_argument("--extend", type=int)
     p.add_argument("--real-weil", action="store_true")
     p.set_defaults(handler=_cmd_weil)
 

@@ -35,7 +35,11 @@ before summing, so nothing wraps there either.
 Reduction mod p can merge roots but never split them, so the modular radical
 degree r is at most the exact one and bounds the drop from above; exact
 radicals at the candidate maxima pin the result.  There the extension ext is
-built over Z and, when r divides d, the monic rad of degree r with power sums
+built over Z by weil.base_extension.  Since w satisfies the Weil functional
+equation x^d w(q/x) = a_0 w(x), a_0 = +-q^(d/2), which base_extension detects
+from the coefficients, each prime step p reads (d/2) p power sums, not d p,
+and fills in the lower half of the coefficients from the upper half.  When r
+divides d, the monic rad of degree r with power sums
 p_k(ext) / (d / r) is tried: rad^(d/r) = ext certifies it, as the exact radical
 degree is then at most r, hence equal to it, and rad is the radical.  Without
 that certificate (a non-integral quotient or power sum inversion, or an unequal

@@ -76,12 +76,14 @@ class IntPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        # square only while a higher bit is left, so no product outgrows the result
         result, base = IntPoly([1]), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other):

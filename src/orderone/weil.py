@@ -148,6 +148,32 @@ def is_real_weil(r: IntPoly, ctx: WeilContext) -> bool:
 # -- base extension -----------------------------------------------------------
 
 
+def _weil_weight(qpoly: IntPoly) -> int | None:
+    """The Q >= 1 with x^d w(Q/x) = a_0 w(x), d = 2e, for monic w = qpoly,
+    or None when there is none: odd degree, a_0 = 0, |a_0| not an e-th power,
+    or a coefficient pair with a_i Q^i != a_0 a_(d-i)."""
+    d, a = qpoly.degree(), qpoly.coeffs
+    if d < 2 or d % 2 or a[0] == 0:
+        return None
+    e = d // 2
+    big = abs(a[0])
+    # integer e-th root by Newton's method from an upper bound
+    root = 1 << -(-big.bit_length() // e)
+    while True:
+        nxt = ((e - 1) * root + big // root ** (e - 1)) // e
+        if nxt >= root:
+            break
+        root = nxt
+    if root ** e != big:
+        return None
+    power = 1
+    for i in range(d + 1):
+        if a[i] * power != a[0] * a[d - i]:
+            return None
+        power *= root
+    return root
+
+
 def base_extension(qpoly: IntPoly, n: int) -> IntPoly:
     """Monic polynomial whose roots are the n-th powers of the roots of qpoly.
 
@@ -155,16 +181,36 @@ def base_extension(qpoly: IntPoly, n: int) -> IntPoly:
     (k*p)-th power sum of the input.  The n-th extension is that step chained
     over the prime factors p of n, largest first, so it needs d * (sum of the
     prime factors) power sums and not d * n.
+
+    When qpoly satisfies the Weil functional equation x^d w(Q/x) = a_0 w(x),
+    d = 2e, a_0 = +-Q^e (checked on every coefficient once, with Q the integer
+    e-th root of |a_0|), so does its p-th extension, with weight Q^p and
+    constant a_0^p.  Its top e + 1 coefficients, from e power sums, then fix
+    the rest, a_i = a_0^p a_(d-i) / Q^(p i) exactly, so each step reads e * p
+    power sums, not d * p.  Any other monic input takes the d * p route.
     """
     if not qpoly.is_monic():
         raise ValueError("base extension needs a monic polynomial")
     if n < 1:
         raise ValueError("extension degree must be positive")
-    d = qpoly.degree()
+    weight = _weil_weight(qpoly)
+    # the number of top coefficients each step reads off power sums
+    top = qpoly.degree() if weight is None else qpoly.degree() // 2
     for p, e in sorted(factorize(n).items(), reverse=True):
         for _ in range(e):
-            ps = power_sums(qpoly, d * p)
-            qpoly = from_power_sums(ps[p - 1 :: p], d)
+            ps = power_sums(qpoly, top * p)
+            upper = from_power_sums(ps[p - 1 :: p], top)
+            if weight is not None:
+                weight, const = weight ** p, qpoly[0] ** p
+                lower, scale = [], 1
+                for i in range(top):
+                    c, r = divmod(const * upper[top - i], scale)
+                    if r:
+                        raise ArithmeticError("Weil functional equation broke under base extension")
+                    lower.append(c)
+                    scale *= weight
+                upper = IntPoly(lower + list(upper.coeffs))
+            qpoly = upper
     return qpoly
 
 

@@ -324,6 +324,16 @@ def test_cli_weil(tmp_path):
     assert doc["newton"] == [["1/2", 2]]
 
 
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_cli_weil_rejects_a_non_positive_extension_degree(tmp_path, degree):
+    """--extend 0 is a usage error like any other non-positive degree, not a
+    request that silently leaves out the extension."""
+    poly = tmp_path / "p.json"
+    poly.write_text("[2, -2, 1]")
+    status, out, err = main_in_process(["weil", "--poly", str(poly), "--extend", degree], tmp_path)
+    assert (status, out, err) == (2, "", "error: extension degree must be positive\n")
+
+
 def test_cli_weil_reads_a_long_integer_literal(tmp_path):
     """A --poly coefficient past Python's default int-to-str limit (4300
     digits) reads the same as a JSON integer literal and as a decimal

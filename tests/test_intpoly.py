@@ -5,6 +5,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderone import intpoly
 from orderone.intpoly import (
     IntPoly,
     dehomogenize,
@@ -70,6 +71,35 @@ def test_basic_arithmetic():
     q, r = divmod(IntPoly([-1, 0, 1]), IntPoly([1, 1]))
     assert q == IntPoly([-1, 1]) and r.is_zero()
     assert IntPoly([4, -8, 0, 4]).derivative() == IntPoly([-8, 0, 12])
+
+
+POW_BASES = [IntPoly(), IntPoly([1]), IntPoly([-3]), IntPoly([1, 1]), IntPoly([2, -2, 1]), IntPoly([0, 5, 0, -1])]
+
+
+@pytest.mark.parametrize("p", POW_BASES)
+def test_pow_matches_repeated_products(p):
+    acc = IntPoly([1])
+    for n in range(10):
+        assert p ** n == acc
+        acc = acc * p
+
+
+@pytest.mark.parametrize("p", POW_BASES)
+def test_pow_forms_no_product_longer_than_the_result(monkeypatch, p):
+    """Square-and-multiply stops squaring after the top bit of n."""
+    lengths = []
+    mul = intpoly._mul_coeffs
+
+    def recording(long, short):
+        out = mul(long, short)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(intpoly, "_mul_coeffs", recording)
+    for n in range(10):
+        lengths.clear()
+        result = p ** n
+        assert all(k <= len(result.coeffs) for k in lengths), n
 
 
 def test_divmod_rejects_inexact():

@@ -7,7 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderone.intpoly import IntPoly, dehomogenize
+from orderone import weil
+from orderone.intpoly import IntPoly, dehomogenize, power_sums
 from orderone.weil import (
     F2,
     WeilContext,
@@ -152,13 +153,29 @@ def resultant_base_extension(q, n):
     return interpolate(pts)
 
 
+# Weil polynomials, x^d w(Q/x) = a_0 w(x) with a_0 = Q^e or -Q^e: the half route
+HALF_ROUTE = [
+    IntPoly([2, -2, 1]),
+    IntPoly([-2, 0, 1]),
+    IntPoly([4, -6, 5, -3, 1]),
+    IntPoly([1, 0, 1]),
+    IntPoly([-2, 0, 1]) * IntPoly([2, -2, 1]),
+]
+# odd degree, a_0 = 0, a quartic with a_1 Q != a_0 a_3, |a_0| = 8 not a square
+FULL_ROUTE = [
+    IntPoly([5, -2, 0, 1]),
+    IntPoly([0, 1, 0, -3, 1]),
+    IntPoly([4, -6, 5, -2, 1]),
+    IntPoly([8, 0, 0, 0, 1]),
+]
+
+
 @pytest.mark.parametrize("n", list(range(1, 9)))
-@pytest.mark.parametrize(
-    "q", [IntPoly([2, -2, 1]), IntPoly([-2, 0, 1]), IntPoly([4, -6, 5, -3, 1])]
-)
+@pytest.mark.parametrize("q", HALF_ROUTE + FULL_ROUTE)
 def test_base_extension_three_routes(q, n):
     got = base_extension(q, n)
     assert got == resultant_base_extension(q, n)
+    assert got == stride_base_extension(q, n)
     if q.degree() * n <= 12:
         assert got == numeric_base_extension(q, n)
 
@@ -172,12 +189,32 @@ def test_prime_steps_match_one_shot_extension(q, m):
 
 
 def test_prime_steps_match_one_shot_extension_of_an_oracle_factor():
+    """Every distinct factor's Weil polynomial for n <= 32, on the half route,
+    at m = n and m = 2n."""
     from orderone.madanpal import build_record
-    from orderone.weil import radical
 
-    for factor in set(build_record(31).simple_factors):
-        q0 = radical(real_to_weil(factor, F2))
-        assert base_extension(q0, 62) == stride_base_extension(q0, 62)
+    first_n = {}
+    for n in range(1, 33):
+        for factor in build_record(n).simple_factors:
+            first_n.setdefault(real_to_weil(factor, F2), n)
+    for w, n in first_n.items():
+        assert weil._weil_weight(w) == F2.q
+        for m in (n, 2 * n):
+            assert base_extension(w, m) == stride_base_extension(w, m), (n, m)
+
+
+@pytest.mark.parametrize("q", HALF_ROUTE + FULL_ROUTE)
+def test_base_extension_reads_half_the_power_sums_of_a_weil_polynomial(monkeypatch, q):
+    counts = []
+
+    def recording(f, count):
+        counts.append(count)
+        return power_sums(f, count)
+
+    monkeypatch.setattr(weil, "power_sums", recording)
+    base_extension(q, 12)
+    share = q.degree() // 2 if q in HALF_ROUTE else q.degree()
+    assert counts == [share * 3, share * 2, share * 2]
 
 
 def test_base_extension_composes():
