@@ -256,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
+        if ns.workers < 1:
+            raise ValueError("workers must be positive")
         return ns.handler(ns)
     except relations.CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

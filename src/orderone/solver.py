@@ -7,7 +7,11 @@ eta3.  This module certifies g by an exact resultant computation, enumerates
 the symmetry group G of g, reduces the candidate single-vanishing-subsum
 expressions to orbit representatives, and finds all root-of-unity solutions
 within given order bounds by exhaustive search: a vectorized floating filter
-(sound with a wide error margin) followed by exact cyclotomic confirmation.
+(sound with a wide error margin) followed by an exact decision on every
+candidate.  From the filter's hits to the returned solutions the search runs
+on integer arrays.  A candidate on the one-parameter family is a zero because
+g vanishes identically on each family map, an identity checked once per
+process; every other candidate is confirmed by a cyclotomic zero test.
 """
 from __future__ import annotations
 
@@ -142,18 +146,19 @@ def apply_symmetry(k: int, obj):
         return obj.substitute(images)
     if isinstance(obj, SolutionTriple):
         m, ks = _exponents(obj)
-        return _from_keys([_root_key(m, _act(k, m, ks))])[0]
+        return SolutionTriple(*(RootOfUnity.make(e, m) for e in _act(k, m, *ks)))
     raise TypeError(f"cannot apply symmetry to {type(obj)!r}")
 
 
-def _act(k: int, m: int, ks: tuple[int, int, int]) -> tuple[int, int, int]:
+def _act(k: int, m, *ks) -> tuple:
     """The k-th generator on the point (e^(2 pi i k_j / m))_j, m even, as
-    exponents over m: a sign -1 is e^(2 pi i (m/2) / m)."""
-    k1, k2, k3 = ks
-    return tuple(
-        ((m // 2 if sign < 0 else 0) + e1 * k1 + e2 * k2 + e3 * k3) % m
-        for sign, (e1, e2, e3) in GENERATORS[k]
-    )
+    exponents over m: a sign -1 is e^(2 pi i (m/2) / m).  On integer arrays
+    m, k1, k2, k3 it acts on every point at once."""
+    images = []
+    for sign, expo in GENERATORS[k]:
+        image = sum(e * x for e, x in zip(expo, ks) if e)
+        images.append((image + m // 2 if sign < 0 else image) % m)
+    return tuple(images)
 
 
 def candidate_h_set() -> list[LaurentExpr]:
@@ -250,30 +255,59 @@ class SolutionTriple:
         return math.lcm(*self.orders())
 
 
-Vector = tuple[int, tuple[int, int, int]]  # (m, (k1, k2, k3)): eta_j = e^(2 pi i k_j / m)
-
-
-def _exponents(t: SolutionTriple) -> Vector:
+def _exponents(t: SolutionTriple) -> tuple[int, tuple[int, int, int]]:
     """(m, (k1, k2, k3)) with eta_j = e^(2 pi i k_j / m) and m = lcm(2, orders),
     so that every image of t under the generators has exponents over m too."""
     m = math.lcm(2, *t.orders())
     return m, tuple(r.num * (m // r.den) for r in (t.eta1, t.eta2, t.eta3))
 
 
-def _root_key(m: int, ks: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
-    """(order, numerator) of each coordinate of the point (m, ks), 0 <= k_j < m:
-    the fields of its reduced roots, so also the sort key of its triple."""
-    key = []
-    for k in ks:
-        g = math.gcd(k, m)
-        key.append((m // g, k // g))
-    return tuple(key)
+def _root_keys(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(order, numerator) of each coordinate of the points (m, ks), 0 <= k_j
+    < m, as (N, 6) rows (d1, n1, d2, n2, d3, n3): the fields of the reduced
+    roots, so also the sort key of the triples."""
+    g = np.gcd(ks, m[:, None])
+    return np.stack([m[:, None] // g, ks // g], axis=2).reshape(-1, 6)
 
 
-def _from_keys(keys) -> list[SolutionTriple]:
-    """The triples of root keys, in their order; equal roots are one object."""
-    roots: dict[tuple[int, int], RootOfUnity] = {}
-    return [SolutionTriple(*(roots.get(dn) or roots.setdefault(dn, RootOfUnity(*dn)) for dn in key)) for key in keys]
+def _lex_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first): the permutation that sorts the rows of an (N, w)
+    array of non-negative integers lexicographically, and whether each
+    sorted row differs from the one before it.
+
+    When the product of the column ranges fits in int64, each row is read
+    as the digits of one mixed-radix int64 in the order of the rows, and one
+    argsort of those sorts the rows; lexsort sorts wider rows."""
+    radices = (rows.max(axis=0, initial=0) + 1).tolist()
+    if math.prod(radices) < 2**63:
+        code = np.zeros(len(rows), dtype=np.int64)
+        for column, radix in zip(rows.T, radices):
+            code = code * radix + column
+        order = np.argsort(code)
+    else:
+        order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, first
+
+
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """The indices of the distinct rows of an (N, w) integer array, in
+    ascending lexicographic order of the rows."""
+    order, first = _lex_groups(rows)
+    return order[first]
+
+
+def _from_keys(keys: np.ndarray) -> list[SolutionTriple]:
+    """The triples of the (N, 6) root key rows, in their order; equal roots
+    are one object."""
+    pairs = keys.reshape(-1, 2)
+    order, first = _lex_groups(pairs)
+    roots = [RootOfUnity(d, n) for d, n in pairs[order[first]].tolist()]
+    index = np.empty(len(order), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
+    return [SolutionTriple(roots[i], roots[j], roots[k]) for i, j, k in index.reshape(-1, 3).tolist()]
 
 
 @dataclass(frozen=True, order=True)
@@ -295,6 +329,21 @@ def is_solution(t: SolutionTriple) -> bool:
 @lru_cache(maxsize=1024)
 def _primitive_residues(n: int) -> tuple[int, ...]:
     return tuple(k for k in range(n) if math.gcd(k, n) == 1) if n > 1 else (0,)
+
+
+@lru_cache(maxsize=16)
+def _residue_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, start, phi, lower) for the orders n <= n_max, as read-only
+    arrays: flat[start[n] : start[n] + phi[n]] is _primitive_residues(n),
+    of which the first lower[n] are _lower_residues(n)."""
+    orders = range(1, n_max + 1)
+    flat = np.fromiter(itertools.chain.from_iterable(map(_primitive_residues, orders)), dtype=np.int64)
+    phi = np.array([0, *(len(_primitive_residues(n)) for n in orders)])
+    lower = np.array([0, *(len(_lower_residues(n)) for n in orders)])
+    out = flat, np.cumsum(phi) - phi, phi, lower
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -395,32 +444,84 @@ def _prefilter_blocks(pairs, cs):
             yield top, left, rows @ cols[:, left : left + width]
 
 
-def _solve_order_pairs(task) -> list[Vector]:
-    """Confirmed zeros (m, (k1, k2, k3)) over m = lcm(2, a, b, c) for every
-    order pair (a, b) of the task and every eta3 order c of its set cs,
-    prefiltered on one float grid (_prefilter_blocks).  A hit's row maps to
-    (a, b, k1, k2) and its column to (c, k3) by bisection over the offsets."""
-    pairs, cs = task
-    row_ends = _row_ends(pairs)
-    col_ends = list(itertools.accumulate(len(_primitive_residues(c)) for c in cs))
-    out = []
-    for top, left, half_g in _prefilter_blocks(pairs, cs):
-        for hit in np.flatnonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2).tolist():
-            row, col = divmod(hit, half_g.shape[1])
-            row, col = row + top, col + left
-            i = bisect.bisect_right(row_ends, row)
-            a, b = pairs[i]
-            k2s = _primitive_residues(b)
-            i1, i2 = divmod(row - (row_ends[i - 1] if i else 0), len(k2s))
-            k1, k2 = _lower_residues(a)[i1], k2s[i2]
-            j = bisect.bisect_right(col_ends, col)
-            c = cs[j]
-            k3 = _primitive_residues(c)[col - (col_ends[j - 1] if j else 0)]
-            # a primitive residue is already the reduced numerator of its root
-            if is_solution(SolutionTriple(RootOfUnity(a, k1), RootOfUnity(b, k2), RootOfUnity(c, k3))):
-                m = math.lcm(2, a, b, c)
-                out.append((m, (k1 * (m // a), k2 * (m // b), k3 * (m // c))))
-    return out
+def _task_hits(task) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the grid offsets (_prefilter_blocks) of every point of
+    the task's grid that the float prefilter keeps."""
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for top, left, half_g in _prefilter_blocks(*task):
+        flat = np.flatnonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2)
+        if len(flat):
+            row, col = np.divmod(flat, half_g.shape[1])
+            rows.append(row + top)
+            cols.append(col + left)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _candidates(tasks, workers: int) -> np.ndarray:
+    """(a, b, c, k1, k2, k3) of every prefilter hit of the tasks, one int64
+    row each: eta1, eta2, eta3 = e^(2 pi i k1 / a), e^(2 pi i k2 / b),
+    e^(2 pi i k3 / c).  The grids of the tasks are laid end to end, rows
+    after rows and columns after columns, so one bisection over every order
+    pair and one over every eta3 order decode all hits."""
+    if workers > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(workers) as pool:
+            hits = pool.map(_task_hits, tasks)
+    else:
+        hits = [_task_hits(t) for t in tasks]
+    pairs = np.array([pair for ps, _ in tasks for pair in ps])
+    cs = np.array([c for _, task_cs in tasks for c in task_cs])
+    flat, start, phi, lower = _residue_table(int(max(pairs.max(), cs.max())))
+    row_ends = np.cumsum(lower[pairs[:, 0]] * phi[pairs[:, 1]])
+    col_ends = np.cumsum(phi[cs])
+    row_starts = np.concatenate([[0], row_ends[:-1]])
+    col_starts = np.concatenate([[0], col_ends[:-1]])
+    # the first order pair and the first eta3 order of each task
+    first_pair = np.cumsum([0] + [len(ps) for ps, _ in tasks[:-1]])
+    first_c = np.cumsum([0] + [len(task_cs) for _, task_cs in tasks[:-1]])
+    counts = [len(rows) for rows, _ in hits]
+    row = np.concatenate([rows for rows, _ in hits]) + np.repeat(row_starts[first_pair], counts)
+    col = np.concatenate([cols for _, cols in hits]) + np.repeat(col_starts[first_c], counts)
+    i = np.searchsorted(row_ends, row, side="right")
+    a, b = pairs[i].T
+    i1, i2 = np.divmod(row - row_starts[i], phi[b])
+    j = np.searchsorted(col_ends, col, side="right")
+    c = cs[j]
+    k1, k2, k3 = flat[start[a] + i1], flat[start[b] + i2], flat[start[c] + col - col_starts[j]]
+    return np.stack([a, b, c, k1, k2, k3], axis=1)
+
+
+@lru_cache(maxsize=1)
+def _family_certificate() -> None:
+    """Check that g vanishes identically on each of the _family_maps: with
+    z_j -> s_j z1^(e_j) substituted, g is the zero Laurent polynomial.  So g
+    is zero at every phi(zeta), and a point that _on_family finds on the
+    family needs no test of its own.  Raises ArithmeticError otherwise."""
+    g = g_expr()
+    for phi in _family_maps():
+        if not g.substitute(tuple((s, (e, 0, 0)) for s, e in phi)).is_zero():
+            raise ArithmeticError(f"g does not vanish identically on the family map {phi}")
+
+
+def _confirmed(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, ks, family) of the candidates that are zeros of g, as exponent
+    vectors over m = lcm(2, a, b, c) with their _on_family verdicts.
+
+    Every candidate is decided exactly.  One on the family is a zero because
+    g vanishes identically on each family map (_family_certificate, checked
+    once per process); every other one is a zero iff is_solution says so."""
+    orders = candidates[:, :3]
+    m = np.lcm(np.lcm.reduce(orders, axis=1), 2)
+    ks = candidates[:, 3:] * (m[:, None] // orders)
+    _family_certificate()
+    family = _on_family(m, *ks.T)
+    zero = family.copy()
+    zero[~family] = [
+        is_solution(SolutionTriple(RootOfUnity(a, k1), RootOfUnity(b, k2), RootOfUnity(c, k3)))
+        for a, b, c, k1, k2, k3 in candidates[~family].tolist()
+    ]
+    return m[zero], ks[zero], family[zero]
 
 
 def _order_pair_tasks(
@@ -444,30 +545,28 @@ def _order_pair_tasks(
     return [(tuple(pairs), cs) for cs, pairs in groups.items()]
 
 
-def _solution_orbits(max_order_12: int, max_order_3: int, max_level: int, workers: int) -> list[tuple[Vector, ...]]:
-    """Every confirmed zero of the search with its inversion and swap images:
-    its orbit under those two commuting involutions, as exponent vectors.
+def _solutions(max_order_12: int, max_order_3: int, max_level: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The root keys of every solution inside the bounds, distinct and in
+    ascending order, with the parametric verdict of each.
 
-    Inversion and swap only permute the orders, and both order bounds on
-    eta1, eta2 are max_order_12, so every image of a base solution is inside
-    the bounds.  All four images share m = lcm(2, a, b, c), so equal points
-    have equal vectors."""
+    The confirmed zeros come with their inversion and swap images: their
+    orbit under those two commuting involutions.  Inversion and swap only
+    permute the orders, and both order bounds on eta1, eta2 are
+    max_order_12, so every image is inside the bounds.  The family is the
+    symmetry orbit of (zeta, zeta, -zeta), a union of orbits of the whole
+    group, so every image gets the verdict of its zero."""
     if min(max_order_12, max_order_3, max_level) < 1:
         raise ValueError("bounds must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     tasks = _order_pair_tasks(max_order_12, max_order_3, max_level)
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            chunks = pool.map(_solve_order_pairs, tasks)
-    else:
-        chunks = [_solve_order_pairs(t) for t in tasks]
-    orbits = []
-    for chunk in chunks:
-        for m, ks in chunk:
-            swapped = _act(1, m, ks)
-            orbits.append(((m, ks), (m, _act(0, m, ks)), (m, swapped), (m, _act(0, m, swapped))))
-    return orbits
+    m, ks, family = _confirmed(_candidates(tasks, workers))
+    point = tuple(ks.T)
+    swapped = _act(1, m, *point)
+    images = (point, _act(0, m, *point), swapped, _act(0, m, *swapped))
+    keys = _root_keys(np.tile(m, 4), np.concatenate([np.stack(img, axis=1) for img in images]))
+    distinct = _sorted_distinct(keys)
+    return keys[distinct], np.tile(family, 4)[distinct]
 
 
 def solve_bounded(
@@ -484,14 +583,19 @@ def solve_bounded(
     inversion orbit, and then re-expands by the inversion and swap
     symmetries.  Each set of eta3 orders, which depends on lcm(a, b) only, is
     one task: a float prefilter over the stacked rows of every order pair
-    (a, b) that admits that set against the columns of all its eta3 orders,
-    then exact confirmation of every candidate by is_solution.  Confirmed
-    zeros and their images stay integer exponent vectors (m, (k1, k2, k3))
-    over m = lcm(2, orders); each distinct one becomes a SolutionTriple once,
-    in sorted order, for the returned list.
+    (a, b) that admits that set against the columns of all its eta3 orders.
+    From the prefilter's hits to the returned list the search runs on
+    integer arrays: the hits of all tasks are one (N, 6) array of orders and
+    numerators, each is decided exactly (on the family by the identity
+    g o phi = 0 for the family maps phi, checked once per process, every
+    other one by is_solution), and the zeros and their images are exponent
+    vectors over m = lcm(2, orders) and then root keys, sorted and made
+    distinct by one sort.  Each distinct key becomes a SolutionTriple once,
+    in sorted order.  workers > 1 runs the float grids of the tasks in a
+    process pool.
     """
-    orbits = _solution_orbits(max_order_12, max_order_3, max_level, workers)
-    return _from_keys(sorted({_root_key(m, ks) for orbit in orbits for m, ks in orbit}))
+    keys, _ = _solutions(max_order_12, max_order_3, max_level, workers)
+    return _from_keys(keys)
 
 
 # -- classification ------------------------------------------------------------
@@ -525,17 +629,19 @@ def _family_maps() -> tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, i
     return tuple(seen)
 
 
-def _on_family(m: int, ks: tuple[int, int, int]) -> bool:
-    """is_parametric of the point (m, ks), m even."""
+def _on_family(m, k1, k2, k3):
+    """is_parametric of the point (m, (k1, k2, k3)), m even; on integer
+    arrays m, k1, k2, k3, a boolean array with the verdict of every point."""
     half = m // 2
-    for phi in _family_maps():
+    out = False
+    for (s1, e1), (s2, e2), (s3, e3) in _family_maps():
         # k_j = (m/2 if s_j < 0) + e_j z (mod m), z the exponent of zeta over
         # m; the first coordinate has e_1 = +-1, so it fixes z and holds
-        (s1, e1), (s2, e2), (s3, e3) = phi
-        z = e1 * (ks[0] - (half if s1 < 0 else 0))
-        if ks[1] == ((half if s2 < 0 else 0) + e2 * z) % m and ks[2] == ((half if s3 < 0 else 0) + e3 * z) % m:
-            return True
-    return False
+        z = e1 * (k1 - half if s1 < 0 else k1)
+        k2_phi = (e2 * z + half if s2 < 0 else e2 * z) % m
+        k3_phi = (e3 * z + half if s3 < 0 else e3 * z) % m
+        out = out | ((k2 == k2_phi) & (k3 == k3_phi))
+    return out
 
 
 def is_parametric(t: SolutionTriple) -> bool:
@@ -547,23 +653,21 @@ def is_parametric(t: SolutionTriple) -> bool:
     phi and root of unity zeta: the first coordinate has exponent +-1 and
     fixes zeta over m = lcm(2, orders), and the other two must then agree
     mod m."""
-    return _on_family(*_exponents(t))
+    m, ks = _exponents(t)
+    return _on_family(m, *ks)
 
 
-def _patterns(signatures) -> list[SolutionPattern]:
-    """The patterns of ((order1, order2, order3), parametric) signatures."""
-    sporadic: dict[tuple[int, int], set[int]] = {}
-    parametric: dict[tuple[int, int], set[int]] = {}
-    for (a, b, c), verdict in signatures:
-        key = (min(a, b), max(a, b))
-        bucket = parametric if verdict else sporadic
-        bucket.setdefault(key, set()).add(c)
-    out = []
-    for (a, b), cs in sorted(parametric.items()):
-        out.append(SolutionPattern(a, b, tuple(sorted(cs)), "parametric"))
-    for (a, b), cs in sorted(sporadic.items()):
-        out.append(SolutionPattern(a, b, tuple(sorted(cs)), "sporadic"))
-    return out
+def _patterns(orders: np.ndarray, family: np.ndarray) -> list[SolutionPattern]:
+    """The patterns of solutions with (N, 3) orders and parametric verdicts:
+    one row (kind, order1, order2, order3) per solution, order1 <= order2,
+    made distinct and sorted, grouped by its first three."""
+    low, high = np.minimum(orders[:, 0], orders[:, 1]), np.maximum(orders[:, 0], orders[:, 1])
+    rows = np.stack([~family, low, high, orders[:, 2]], axis=1).astype(np.int64)
+    rows = rows[_sorted_distinct(rows)].tolist()
+    return [
+        SolutionPattern(a, b, tuple(row[3] for row in group), "sporadic" if sporadic else "parametric")
+        for (sporadic, a, b), group in itertools.groupby(rows, key=lambda row: tuple(row[:3]))
+    ]
 
 
 def classify_solutions(sols) -> list[SolutionPattern]:
@@ -573,7 +677,9 @@ def classify_solutions(sols) -> list[SolutionPattern]:
     normalized by the swap symmetry only: order1 <= order2, with the full set
     of eta3 orders per (order1, order2).
     """
-    return _patterns((t.orders(), is_parametric(t)) for t in sols)
+    vectors = np.array([(m, *ks) for m, ks in map(_exponents, sols)], dtype=np.int64).reshape(-1, 4)
+    m, ks = vectors[:, 0], vectors[:, 1:]
+    return _patterns(_root_keys(m, ks)[:, 0::2], _on_family(m, *ks.T))
 
 
 # known sporadic order patterns: (order of eta1, order of eta2,
@@ -591,19 +697,32 @@ SPORADIC_ORDER_PATTERNS: tuple[SolutionPattern, ...] = (
 )
 
 
-def _family_vectors(max_order_12: int, max_order_3: int, max_level: int) -> set[Vector]:
-    """The exponent vectors of expected_parametric."""
-    out: set[Vector] = set()
-    for n in range(1, 2 * max(max_order_12, max_order_3) + 1):
-        m = math.lcm(2, n)  # lcm(2, orders) of every phi(zeta): its first coordinate is zeta^(+-1)
-        zs = [k * (m // n) for k in _primitive_residues(n)]
-        for (s1, e1), (s2, e2), (s3, e3) in _family_maps():
-            o1, o2, o3 = (m // 2 if s < 0 else 0 for s in (s1, s2, s3))
-            d1, d2, d3 = (m // math.gcd(o + e * (m // n), m) for o, e in ((o1, e1), (o2, e2), (o3, e3)))
-            if max(d1, d2) > max_order_12 or d3 > max_order_3 or math.lcm(d1, d2, d3) > max_level:
-                continue
-            out.update((m, ((o1 + e1 * z) % m, (o2 + e2 * z) % m, (o3 + e3 * z) % m)) for z in zs)
-    return out
+def _family_point(phi_map, m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The exponent vectors over m of phi(zeta), zeta = e^(2 pi i z / m),
+    for one family map phi, as an (N, 3) array."""
+    return np.stack([(e * z + m // 2 if s < 0 else e * z) % m for s, e in phi_map], axis=1)
+
+
+def _family_keys(max_order_12: int, max_order_3: int, max_level: int) -> np.ndarray:
+    """The root keys of expected_parametric, distinct and in ascending order.
+
+    The orders of phi(zeta) depend only on the order n of zeta, so each map
+    phi and order n is kept or dropped on the orders of phi(e^(2 pi i / n))
+    before the points phi(zeta) of that order are built, over
+    m = lcm(2, n), one per primitive residue of n."""
+    flat, _, phi, _ = _residue_table(2 * max(max_order_12, max_order_3))
+    n = np.arange(len(phi))
+    m = np.lcm(n, 2)  # lcm(2, orders) of every phi(zeta): its first coordinate is zeta^(+-1)
+    per_residue = np.repeat(n, phi)
+    keys = []
+    for phi_map in _family_maps():
+        d1, _, d2, _, d3, _ = _root_keys(m[1:], _family_point(phi_map, m[1:], m[1:] // n[1:])).T
+        inside = (np.maximum(d1, d2) <= max_order_12) & (d3 <= max_order_3) & (np.lcm(np.lcm(d1, d2), d3) <= max_level)
+        kept = np.repeat(inside, phi[1:])
+        m_kept = m[per_residue[kept]]
+        keys.append(_root_keys(m_kept, _family_point(phi_map, m_kept, flat[kept] * (m_kept // per_residue[kept]))))
+    keys = np.concatenate(keys)
+    return keys[_sorted_distinct(keys)]
 
 
 def expected_parametric(max_order_12: int, max_order_3: int, max_level: int) -> set[SolutionTriple]:
@@ -615,7 +734,7 @@ def expected_parametric(max_order_12: int, max_order_3: int, max_level: int) -> 
     The orders of phi(zeta) depend only on the order n of zeta, so each
     (n, phi) is kept or dropped by an integer bound test on zeta = e^(2 pi i / n)
     before any of its phi(n) triples is built."""
-    return set(_from_keys(_root_key(m, ks) for m, ks in _family_vectors(max_order_12, max_order_3, max_level)))
+    return set(_from_keys(_family_keys(max_order_12, max_order_3, max_level)))
 
 
 def verify_table2(
@@ -623,26 +742,21 @@ def verify_table2(
 ) -> dict:
     """Recompute the sporadic order patterns and the parametric locus within bounds.
 
-    The solutions are those of solve_bounded, by the same search, and they
-    stay exponent vectors up to the returned list.  The parametric verdict is
-    decided once per inversion/swap orbit: the family is the symmetry orbit
-    of (zeta, zeta, -zeta), a union of orbits of the whole group, so every
-    image of a solution gets the verdict of the solution.  The family found
-    is compared with expected_parametric as a set of exponent vectors over
-    m = lcm(2, orders), one vector per point.
+    The solutions are those of solve_bounded, by the same search on integer
+    arrays, and so is each parametric verdict: the exact confirmation tests
+    every candidate with _on_family anyway, and every inversion/swap image
+    of a zero gets the verdict of the zero, because the family is a union of
+    orbits of the whole group.  The patterns are read off the sorted root
+    keys by one more sort, and the family found is compared with
+    expected_parametric as an array of root keys, one row per point.
     """
-    verdicts: dict[Vector, bool] = {}
-    for orbit in _solution_orbits(max_order_12, max_order_3, max_level, workers):
-        verdicts.update(dict.fromkeys(orbit, _on_family(*orbit[0])))
-    keyed = sorted((_root_key(m, ks), verdict) for (m, ks), verdict in verdicts.items())
-    sols = _from_keys(key for key, _ in keyed)
-    patterns = _patterns(((a, b, c), verdict) for ((a, _), (b, _), (c, _)), verdict in keyed)
+    keys, family = _solutions(max_order_12, max_order_3, max_level, workers)
+    patterns = _patterns(keys[:, 0::2], family)
     sporadic = tuple(p for p in patterns if p.kind == "sporadic")
-    found_parametric = {v for v, verdict in verdicts.items() if verdict}
     ok_sporadic = sporadic == SPORADIC_ORDER_PATTERNS
-    ok_parametric = found_parametric == _family_vectors(max_order_12, max_order_3, max_level)
+    ok_parametric = np.array_equal(keys[family], _family_keys(max_order_12, max_order_3, max_level))
     return {
-        "solutions": sols,
+        "solutions": _from_keys(keys),
         "patterns": patterns,
         "sporadic_ok": ok_sporadic,
         "parametric_ok": ok_parametric,

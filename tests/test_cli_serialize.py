@@ -278,6 +278,15 @@ def test_cli_verify_theorem_rejects_a_non_positive_bound(tmp_path, max_n, pairs)
     assert err == "error: max-n must be positive\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["verify-table2", "solve-g"])
+def test_cli_rejects_a_non_positive_worker_count(tmp_path, workers, command):
+    """A worker count below 1 is a usage error, not a run on one worker."""
+    bounds = ["--max-order12", "6", "--max-order3", "6", "--max-level", "24"]
+    status, out, err = main_in_process(["--workers", workers, command, *bounds], tmp_path)
+    assert (status, out, err) == (2, "", "error: workers must be positive\n")
+
+
 def test_cli_verify_theorem_pairs_stdout_is_pinned(tmp_path):
     status, out, _ = main_in_process(["verify-theorem", "--max-n", "32", "--pairs"], tmp_path)
     assert status == 0

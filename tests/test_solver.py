@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from orderone.solver import (
 )
 
 r = RootOfUnity.make
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_g_has_fourteen_terms_with_pinned_coefficients():
@@ -257,25 +261,80 @@ def test_expected_parametric_matches_found():
     assert found == want
 
 
+# candidates of each box on the family, decided by the identity g o phi = 0
+FAMILY_CANDIDATES = {(32, 32, 120): 243, (12, 12, 60): 36}
+
+
 @pytest.mark.parametrize("box, candidates", [((32, 32, 120), 363), ((12, 12, 60), 66)])
 def test_prefilter_candidate_counts_are_pinned(monkeypatch, box, candidates):
-    """The benchmark counts is_solution calls as prefilter candidates and its
-    true answers as confirmations.  verify_table2, the benchmark's op, and
-    solve_bounded send each box's pinned number of candidates, every one a
-    zero, so the prefilter still sends each candidate once and keeps no
-    false one."""
-    verdicts = []
+    """verify_table2, the benchmark's op, and solve_bounded each decide the
+    box's pinned number of prefilter candidates, every one a zero and each
+    decided once: those on the family by the identity g o phi = 0, every
+    other one by one is_solution call.  The benchmark counts is_solution
+    calls as candidates and its true answers as confirmations, so those
+    counts leave out the family share and every call is a zero."""
+    family = FAMILY_CANDIDATES[box]
+    rest = candidates - family
+    decoded, verdicts = [], []
+    decode = solver._candidates
+
+    def recording_candidates(tasks, workers):
+        decoded.append(decode(tasks, workers))
+        return decoded[-1]
 
     def recording_is_solution(t):
-        verdicts.append(is_solution(t))
-        return verdicts[-1]
+        verdicts.append((t, is_solution(t)))
+        return verdicts[-1][1]
 
+    monkeypatch.setattr(solver, "_candidates", recording_candidates)
     monkeypatch.setattr(solver, "is_solution", recording_is_solution)
-    verify_table2(*box)
-    assert len(verdicts) == candidates and all(verdicts)
-    verdicts.clear()
-    solve_bounded(*box)
-    assert len(verdicts) == candidates and all(verdicts)
+    for search in (verify_table2, solve_bounded):
+        decoded.clear()
+        verdicts.clear()
+        search(*box)
+        (rows,) = decoded
+        triples = [SolutionTriple(r(k1, a), r(k2, b), r(k3, c)) for a, b, c, k1, k2, k3 in rows.tolist()]
+        assert len(set(triples)) == len(triples) == candidates
+        assert all(is_solution(t) for t in triples)
+        on_family = {t for t in triples if per_solution_is_parametric(t)}
+        assert len(on_family) == family
+        sent = [t for t, _ in verdicts]
+        assert len(set(sent)) == len(sent) == rest and all(v for _, v in verdicts)
+        assert set(sent) == set(triples) - on_family
+
+
+def test_family_certificate_checks_each_map(monkeypatch):
+    """The four family maps pass the identity g o phi = 0; a map with one
+    sign flipped fails it, and then the search certifies no family hit."""
+    solver._family_certificate.cache_clear()
+    try:
+        solver._family_certificate()
+        maps = solver._family_maps()
+        (first, second, (s3, e3)), *others = maps
+        doctored = ((first, second, (-s3, e3)), *others)
+        monkeypatch.setattr(solver, "_family_maps", lambda: doctored)
+        solver._family_certificate.cache_clear()
+        with pytest.raises(ArithmeticError):
+            solver._family_certificate()
+        with pytest.raises(ArithmeticError):
+            verify_table2(6, 6, 24)
+    finally:
+        monkeypatch.undo()
+        solver._family_certificate.cache_clear()
+
+
+def test_search_imports_no_further_numpy_module():
+    """The array route from prefilter hit to verdict imports no numpy module
+    after the CLI's own imports (numpy.ma in particular, which some numpy
+    functions import on their first call)."""
+    code = (
+        "import sys; sys.path[:0] = ['src']; import orderone.cli; from orderone import solver; "
+        "before = set(sys.modules); solver.verify_table2(32, 32, 120); solver.solve_bounded(6, 6, 24); "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_parametric_verdict_is_constant_on_symmetry_images():
@@ -386,6 +445,17 @@ def per_solution_is_parametric(t):
     return any(s.eta1 == s.eta2 and s.eta3 == s.eta1.negated() for s in hand_orbit(t))
 
 
+def per_solution_patterns(sols, parametric):
+    buckets = {}
+    for t in sols:
+        a, b, c = t.orders()
+        buckets.setdefault((t not in parametric, min(a, b), max(a, b)), set()).add(c)
+    return [
+        SolutionPattern(a, b, tuple(sorted(cs)), "sporadic" if sporadic else "parametric")
+        for (sporadic, a, b), cs in sorted(buckets.items())
+    ]
+
+
 def within(t, max12, max3, maxlevel):
     return t.eta1.order <= max12 and t.eta2.order <= max12 and t.eta3.order <= max3 and t.level() <= maxlevel
 
@@ -443,6 +513,20 @@ def small_box_triples(max_order):
     ]
 
 
+@pytest.mark.parametrize("top", [50, 2**40])
+def test_key_rows_sort_as_python_sorts_them(top):
+    """The search sorts its key rows by one packed int64 when the column
+    ranges fit (top 50) and by lexsort when they do not (top 2^40); both
+    give Python's order, and the first of each run of equal rows."""
+    rng = np.random.default_rng(top)
+    rows = rng.integers(0, top, size=(500, 6))
+    rows[250:] = rows[:250]
+    order, first = solver._lex_groups(rows)
+    want = sorted(map(tuple, rows.tolist()))
+    assert list(map(tuple, rows[order].tolist())) == want
+    assert list(map(tuple, rows[order[first]].tolist())) == sorted(set(want))
+
+
 def test_generator_action_on_triples_matches_hand_formulas():
     triples = small_box_triples(7)
     assert len(triples) == 18 ** 3
@@ -465,17 +549,11 @@ def test_folded_eval_g_matches_fourteen_root_sum():
 
 @SPLIT_GRID
 def test_batched_prefilter_candidates_match_per_triple_masks(monkeypatch, rows, block):
-    """Every order triple of (12, 12, 60): the points the batched grid of
-    each eta3-order set sends to the exact check are those of the
-    per-triple masks, each sent once, also when the grid is cut into chunks
-    and blocks that split one pair's rows and one eta3 order's columns."""
-    candidates = []
-
-    def recording_is_solution(t):
-        candidates.append(t)
-        return is_solution(t)
-
-    monkeypatch.setattr(solver, "is_solution", recording_is_solution)
+    """Every order triple of (12, 12, 60): the points that the batched grids
+    of the eta3-order sets, laid end to end, decode into candidates are
+    those of the per-triple masks, each once, also when the grid is cut into
+    chunks and blocks that split one pair's rows and one eta3 order's
+    columns."""
     split_grid(monkeypatch, rows, block)
     tasks = solver._order_pair_tasks(12, 12, 60)
     assert grid_is_split(tasks) == (rows is not None)
@@ -484,8 +562,8 @@ def test_batched_prefilter_candidates_match_per_triple_masks(monkeypatch, rows, 
         for a, b in pairs:
             for c in cs:
                 want |= per_triple_candidates(a, b, c)
-        solver._solve_order_pairs((pairs, cs))
-    got = {(t.eta1.order, t.eta1.num, t.eta2.order, t.eta2.num, t.eta3.order, t.eta3.num) for t in candidates}
+    candidates = solver._candidates(tasks, 1)
+    got = {(a, k1, b, k2, c, k3) for a, b, c, k1, k2, k3 in candidates.tolist()}
     assert len(got) == len(candidates)
     assert sum(len(pairs) * len(cs) for pairs, cs in tasks) == 568
     assert got == want
@@ -570,7 +648,7 @@ def test_fast_paths_match_reference_routes(box):
     sols = solve_bounded(*box)
     assert sols == per_triple_solve(*box)
     parametric = {t for t in sols if per_solution_is_parametric(t)}
-    reference_patterns = solver._patterns((t.orders(), t in parametric) for t in sols)
+    reference_patterns = per_solution_patterns(sols, parametric)
     assert classify_solutions(sols) == reference_patterns
     assert {t for t in sols if is_parametric(t)} == parametric
     assert expected_parametric(*box) == per_seed_expected_parametric(*box)
