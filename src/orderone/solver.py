@@ -262,6 +262,13 @@ def _exponents(t: SolutionTriple) -> tuple[int, tuple[int, int, int]]:
     return m, tuple(r.num * (m // r.den) for r in (t.eta1, t.eta2, t.eta3))
 
 
+def _exponent_vectors(orders: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, ks): the points with (N, 3) orders and numerators as exponent
+    vectors over m = lcm(2, orders), in the array form of _exponents."""
+    m = np.lcm(np.lcm.reduce(orders, axis=1), 2)
+    return m, nums * (m[:, None] // orders)
+
+
 def _root_keys(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """(order, numerator) of each coordinate of the points (m, ks), 0 <= k_j
     < m, as (N, 6) rows (d1, n1, d2, n2, d3, n3): the fields of the reduced
@@ -272,20 +279,9 @@ def _root_keys(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def _lex_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, first): the permutation that sorts the rows of an (N, w)
-    array of non-negative integers lexicographically, and whether each
-    sorted row differs from the one before it.
-
-    When the product of the column ranges fits in int64, each row is read
-    as the digits of one mixed-radix int64 in the order of the rows, and one
-    argsort of those sorts the rows; lexsort sorts wider rows."""
-    radices = (rows.max(axis=0, initial=0) + 1).tolist()
-    if math.prod(radices) < 2**63:
-        code = np.zeros(len(rows), dtype=np.int64)
-        for column, radix in zip(rows.T, radices):
-            code = code * radix + column
-        order = np.argsort(code)
-    else:
-        order = np.lexsort(rows.T[::-1])
+    integer array lexicographically, and whether each sorted row differs
+    from the one before it."""
+    order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -332,15 +328,13 @@ def _primitive_residues(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _residue_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(flat, start, phi, lower) for the orders n <= n_max, as read-only
-    arrays: flat[start[n] : start[n] + phi[n]] is _primitive_residues(n),
-    of which the first lower[n] are _lower_residues(n)."""
+def _residue_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, start, phi) for the orders n <= n_max, as read-only arrays:
+    flat[start[n] : start[n] + phi[n]] is _primitive_residues(n)."""
     orders = range(1, n_max + 1)
     flat = np.fromiter(itertools.chain.from_iterable(map(_primitive_residues, orders)), dtype=np.int64)
     phi = np.array([0, *(len(_primitive_residues(n)) for n in orders)])
-    lower = np.array([0, *(len(_lower_residues(n)) for n in orders)])
-    out = flat, np.cumsum(phi) - phi, phi, lower
+    out = flat, np.cumsum(phi) - phi, phi
     for a in out:
         a.flags.writeable = False
     return out
@@ -419,9 +413,12 @@ def _order_pair_rows(a: int, b: int) -> np.ndarray:
     return rows
 
 
-def _row_ends(pairs) -> list[int]:
-    """The end offset of each order pair's rows in the stacked grid."""
-    return list(itertools.accumulate(len(_lower_residues(a)) * len(_primitive_residues(b)) for a, b in pairs))
+def _grid_ends(pairs, cs) -> tuple[np.ndarray, np.ndarray]:
+    """(row_ends, col_ends): the end offset of each order pair's rows and of
+    each eta3 order's columns in the grid of the stacked _order_pair_rows of
+    the pairs against the concatenated _eta3_columns of the orders cs."""
+    rows = [len(_lower_residues(a)) * len(_primitive_residues(b)) for a, b in pairs]
+    return np.cumsum(rows, dtype=np.int64), np.cumsum([len(_primitive_residues(c)) for c in cs], dtype=np.int64)
 
 
 def _prefilter_blocks(pairs, cs):
@@ -429,7 +426,7 @@ def _prefilter_blocks(pairs, cs):
     rows of the order pairs against the concatenated columns of the eta3
     orders cs, block by block, with the offsets of the block in the grid.
     A chunk of rows may start or end inside one pair's rows."""
-    row_ends = _row_ends(pairs)
+    row_ends = _grid_ends(pairs, cs)[0].tolist()
     cols = np.concatenate([_eta3_columns(c) for c in cs], axis=1)
     height = min(PREFILTER_ROWS, row_ends[-1])
     width = max(1, PREFILTER_BLOCK // height)
@@ -470,11 +467,11 @@ def _candidates(tasks, workers: int) -> np.ndarray:
             hits = pool.map(_task_hits, tasks)
     else:
         hits = [_task_hits(t) for t in tasks]
-    pairs = np.array([pair for ps, _ in tasks for pair in ps])
-    cs = np.array([c for _, task_cs in tasks for c in task_cs])
-    flat, start, phi, lower = _residue_table(int(max(pairs.max(), cs.max())))
-    row_ends = np.cumsum(lower[pairs[:, 0]] * phi[pairs[:, 1]])
-    col_ends = np.cumsum(phi[cs])
+    pairs = [pair for ps, _ in tasks for pair in ps]
+    cs = [c for _, task_cs in tasks for c in task_cs]
+    row_ends, col_ends = _grid_ends(pairs, cs)
+    pairs, cs = np.array(pairs), np.array(cs)
+    flat, start, phi = _residue_table(int(max(pairs.max(), cs.max())))
     row_starts = np.concatenate([[0], row_ends[:-1]])
     col_starts = np.concatenate([[0], col_ends[:-1]])
     # the first order pair and the first eta3 order of each task
@@ -511,9 +508,7 @@ def _confirmed(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Every candidate is decided exactly.  One on the family is a zero because
     g vanishes identically on each family map (_family_certificate, checked
     once per process); every other one is a zero iff is_solution says so."""
-    orders = candidates[:, :3]
-    m = np.lcm(np.lcm.reduce(orders, axis=1), 2)
-    ks = candidates[:, 3:] * (m[:, None] // orders)
+    m, ks = _exponent_vectors(candidates[:, :3], candidates[:, 3:])
     _family_certificate()
     family = _on_family(m, *ks.T)
     zero = family.copy()
@@ -557,8 +552,6 @@ def _solutions(max_order_12: int, max_order_3: int, max_level: int, workers: int
     group, so every image gets the verdict of its zero."""
     if min(max_order_12, max_order_3, max_level) < 1:
         raise ValueError("bounds must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     tasks = _order_pair_tasks(max_order_12, max_order_3, max_level)
     m, ks, family = _confirmed(_candidates(tasks, workers))
     point = tuple(ks.T)
@@ -662,7 +655,7 @@ def _patterns(orders: np.ndarray, family: np.ndarray) -> list[SolutionPattern]:
     one row (kind, order1, order2, order3) per solution, order1 <= order2,
     made distinct and sorted, grouped by its first three."""
     low, high = np.minimum(orders[:, 0], orders[:, 1]), np.maximum(orders[:, 0], orders[:, 1])
-    rows = np.stack([~family, low, high, orders[:, 2]], axis=1).astype(np.int64)
+    rows = np.stack([~family, low, high, orders[:, 2]], axis=1)
     rows = rows[_sorted_distinct(rows)].tolist()
     return [
         SolutionPattern(a, b, tuple(row[3] for row in group), "sporadic" if sporadic else "parametric")
@@ -677,9 +670,10 @@ def classify_solutions(sols) -> list[SolutionPattern]:
     normalized by the swap symmetry only: order1 <= order2, with the full set
     of eta3 orders per (order1, order2).
     """
-    vectors = np.array([(m, *ks) for m, ks in map(_exponents, sols)], dtype=np.int64).reshape(-1, 4)
-    m, ks = vectors[:, 0], vectors[:, 1:]
-    return _patterns(_root_keys(m, ks)[:, 0::2], _on_family(m, *ks.T))
+    keys = np.array([(r.den, r.num) for t in sols for r in (t.eta1, t.eta2, t.eta3)], dtype=np.int64).reshape(-1, 6)
+    orders = keys[:, 0::2]
+    m, ks = _exponent_vectors(orders, keys[:, 1::2])
+    return _patterns(orders, _on_family(m, *ks.T))
 
 
 # known sporadic order patterns: (order of eta1, order of eta2,
@@ -710,7 +704,7 @@ def _family_keys(max_order_12: int, max_order_3: int, max_level: int) -> np.ndar
     phi and order n is kept or dropped on the orders of phi(e^(2 pi i / n))
     before the points phi(zeta) of that order are built, over
     m = lcm(2, n), one per primitive residue of n."""
-    flat, _, phi, _ = _residue_table(2 * max(max_order_12, max_order_3))
+    flat, _, phi = _residue_table(2 * max(max_order_12, max_order_3))
     n = np.arange(len(phi))
     m = np.lcm(n, 2)  # lcm(2, orders) of every phi(zeta): its first coordinate is zeta^(+-1)
     per_residue = np.repeat(n, phi)

@@ -374,7 +374,7 @@ def grid_is_split(tasks) -> bool:
             tops.add(top)
             lefts.add(left)
         col_starts = set(itertools.accumulate((len(primitive(c)) for c in cs), initial=0))
-        row_starts = set(itertools.accumulate(solver._row_ends(pairs), initial=0))
+        row_starts = {0, *solver._grid_ends(pairs, cs)[0].tolist()}
         if tops - row_starts and lefts - col_starts:
             return True
     return False
@@ -515,9 +515,9 @@ def small_box_triples(max_order):
 
 @pytest.mark.parametrize("top", [50, 2**40])
 def test_key_rows_sort_as_python_sorts_them(top):
-    """The search sorts its key rows by one packed int64 when the column
-    ranges fit (top 50) and by lexsort when they do not (top 2^40); both
-    give Python's order, and the first of each run of equal rows."""
+    """The search sorts its key rows by lexsort, with narrow columns (top 50,
+    many ties) and wide ones (top 2^40) alike: Python's order, and the first
+    of each run of equal rows."""
     rng = np.random.default_rng(top)
     rows = rng.integers(0, top, size=(500, 6))
     rows[250:] = rows[:250]
