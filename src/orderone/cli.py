@@ -5,7 +5,7 @@ subparser names its handler with `set_defaults(handler=...)`, and every handler
 reads its options, `format`, `cache_dir` and `workers` off the namespace.
 `--format` is the only output switch.  `relations`, `madan-pal`, `solve-g`
 and `decompose` have a CSV form; `--format csv` on any other subcommand is a
-usage error.
+usage error, raised before the subcommand does any work.
 
 Exit status 0 means every requested computation succeeded and every verified
 claim was reproduced; 1 means the computation ran but contradicted a recorded
@@ -35,13 +35,15 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 
+# the subcommands whose output is a table; main rejects --format csv on any
+# other before its handler runs
+CSV_FORM = frozenset({"relations", "madan-pal", "solve-g", "decompose"})
+
 
 def _emit(ns: argparse.Namespace, doc, csv_rows=None) -> None:
     if ns.format == "json":
         print(json.dumps({"schema": serialize.SCHEMA, **doc}, sort_keys=True, indent=1))
     elif ns.format == "csv":
-        if csv_rows is None:
-            raise ValueError(f"{ns.command} has no CSV form; use --format json or text")
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -258,6 +260,8 @@ def main(argv=None) -> int:
     try:
         if ns.workers < 1:
             raise ValueError("workers must be positive")
+        if ns.format == "csv" and ns.command not in CSV_FORM:
+            raise ValueError(f"{ns.command} has no CSV form; use --format json or text")
         return ns.handler(ns)
     except relations.CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -15,9 +15,9 @@ process; every other candidate is confirmed by a cyclotomic zero test.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -377,6 +377,8 @@ PREFILTER_ERROR_BOUND = 2 * (18 * 32 + 77) * 2.0 ** -53
 # float64, so a block and its mask stay in cache).
 PREFILTER_ROWS = 1 << 10
 PREFILTER_BLOCK = 1 << 14
+_NO_HITS = np.empty(0, dtype=np.int64)
+_NO_HITS.flags.writeable = False
 
 
 @lru_cache(maxsize=1024)
@@ -403,12 +405,15 @@ def _order_pair_rows(a: int, b: int) -> np.ndarray:
     """Prefilter rows for eta1 of order a in the lower half of its inversion
     orbit against eta2 of order b, row-major over (_lower_residues(a),
     _primitive_residues(b))."""
-    x = _unit_roots(a)[: len(_lower_residues(a)), None]
-    y = _unit_roots(b)
-    rows = np.ones((len(x) * len(y), 5))
-    # a complex column viewed as floats is (Re, Im) pairs, so its conjugate gives (Re, -Im)
-    rows[:, 0:2] = (x + y).conj().reshape(-1, 1).view(float)
-    rows[:, 2:4] = (x * y).conj().reshape(-1, 1).view(float)
+    # conj(x) + conj(y) and conj(x) conj(y) are conj(P) and conj(Q) exactly,
+    # and a complex array viewed as floats is (Re, Im) pairs, so conj gives (Re, -Im)
+    x = _unit_roots(a)[: len(_lower_residues(a)), None].conj()
+    y = _unit_roots(b).conj()
+    rows = np.empty((len(x), len(y), 5))
+    rows[:, :, 0:2] = (x + y)[..., None].view(float)
+    rows[:, :, 2:4] = (x * y)[..., None].view(float)
+    rows[:, :, 4] = 1
+    rows = rows.reshape(-1, 5)
     rows.flags.writeable = False
     return rows
 
@@ -416,41 +421,44 @@ def _order_pair_rows(a: int, b: int) -> np.ndarray:
 def _grid_ends(pairs, cs) -> tuple[np.ndarray, np.ndarray]:
     """(row_ends, col_ends): the end offset of each order pair's rows and of
     each eta3 order's columns in the grid of the stacked _order_pair_rows of
-    the pairs against the concatenated _eta3_columns of the orders cs."""
-    rows = [len(_lower_residues(a)) * len(_primitive_residues(b)) for a, b in pairs]
-    return np.cumsum(rows, dtype=np.int64), np.cumsum([len(_primitive_residues(c)) for c in cs], dtype=np.int64)
+    the pairs against the concatenated _eta3_columns of the orders cs.  The
+    lower half of the primitive residues of a has (phi(a) + 1) // 2 members
+    for every a >= 1 (phi(1) = phi(2) = 1), so both are cumulative sums
+    over the phi column of _residue_table."""
+    pairs, cs = np.asarray(pairs, dtype=np.int64), np.asarray(cs, dtype=np.int64)
+    phi = _residue_table(int(max(pairs.max(), cs.max())))[2]
+    a, b = pairs.T
+    return np.cumsum((phi[a] + 1) // 2 * phi[b]), np.cumsum(phi[cs])
 
 
 def _prefilter_blocks(pairs, cs):
     """Yield (top, left, half_g): the float g/2 on the grid of the stacked
     rows of the order pairs against the concatenated columns of the eta3
     orders cs, block by block, with the offsets of the block in the grid.
-    A chunk of rows may start or end inside one pair's rows."""
-    row_ends = _grid_ends(pairs, cs)[0].tolist()
+    The rows are stacked once per task, so a chunk of rows is a slice of
+    them and may start or end inside one pair's rows."""
+    rows = np.concatenate([_order_pair_rows(a, b) for a, b in pairs])
     cols = np.concatenate([_eta3_columns(c) for c in cs], axis=1)
-    height = min(PREFILTER_ROWS, row_ends[-1])
+    height = min(PREFILTER_ROWS, len(rows))
     width = max(1, PREFILTER_BLOCK // height)
-    for top in range(0, row_ends[-1], height):
-        bottom = min(top + height, row_ends[-1])
-        pieces = []
-        for i in range(bisect.bisect_right(row_ends, top), bisect.bisect_left(row_ends, bottom) + 1):
-            start = row_ends[i - 1] if i else 0
-            pieces.append(_order_pair_rows(*pairs[i])[max(top - start, 0) : bottom - start])
-        rows = np.concatenate(pieces)
+    for top in range(0, len(rows), height):
+        chunk = rows[top : top + height]
         for left in range(0, cols.shape[1], width):
-            yield top, left, rows @ cols[:, left : left + width]
+            yield top, left, chunk @ cols[:, left : left + width]
 
 
 def _task_hits(task) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols): the grid offsets (_prefilter_blocks) of every point of
     the task's grid that the float prefilter keeps."""
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    rows, cols = [], []
     for top, left, half_g in _prefilter_blocks(*task):
-        flat = np.flatnonzero(np.abs(half_g) < PREFILTER_TOLERANCE / 2)
+        flat = (np.abs(half_g, out=half_g) < PREFILTER_TOLERANCE / 2).ravel().nonzero()[0]
         if len(flat):
             row, col = np.divmod(flat, half_g.shape[1])
             rows.append(row + top)
             cols.append(col + left)
+    if not rows:
+        return _NO_HITS, _NO_HITS
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -458,8 +466,11 @@ def _candidates(tasks, workers: int) -> np.ndarray:
     """(a, b, c, k1, k2, k3) of every prefilter hit of the tasks, one int64
     row each: eta1, eta2, eta3 = e^(2 pi i k1 / a), e^(2 pi i k2 / b),
     e^(2 pi i k3 / c).  The grids of the tasks are laid end to end, rows
-    after rows and columns after columns, so one bisection over every order
-    pair and one over every eta3 order decode all hits."""
+    after rows and columns after columns, so one _grid_ends call lays out
+    the whole search, and one bisection over every order pair and one over
+    every eta3 order decode all hits.  workers > 1 maps _task_hits over a
+    pool of at most min(workers, len(tasks), os.cpu_count()) processes."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing as mp
 
@@ -467,10 +478,9 @@ def _candidates(tasks, workers: int) -> np.ndarray:
             hits = pool.map(_task_hits, tasks)
     else:
         hits = [_task_hits(t) for t in tasks]
-    pairs = [pair for ps, _ in tasks for pair in ps]
-    cs = [c for _, task_cs in tasks for c in task_cs]
+    pairs = np.array([pair for ps, _ in tasks for pair in ps])
+    cs = np.array([c for _, task_cs in tasks for c in task_cs])
     row_ends, col_ends = _grid_ends(pairs, cs)
-    pairs, cs = np.array(pairs), np.array(cs)
     flat, start, phi = _residue_table(int(max(pairs.max(), cs.max())))
     row_starts = np.concatenate([[0], row_ends[:-1]])
     col_starts = np.concatenate([[0], col_ends[:-1]])
@@ -525,13 +535,17 @@ def _order_pair_tasks(
     """(pairs, cs) for every set cs of eta3 orders that some order pair
     a <= b <= max_order_12 admits, with pairs every such (a, b): cs is every
     c <= max_order_3 with lcm(a, b, c) <= max_level.  The cs depend on
-    lcm(a, b) only, so each is computed once per lcm."""
+    lcm(a, b) only, so each is computed once per lcm; a pair with
+    lcm(a, b) > max_level admits no c, since lcm(a, b, c) >= lcm(a, b), and
+    is dropped before any set is computed for it."""
     orders3 = np.arange(1, max_order_3 + 1)
     by_lcm: dict[int, tuple[int, ...]] = {}
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for a in range(1, max_order_12 + 1):
         for b in range(a, max_order_12 + 1):
             lab = math.lcm(a, b)
+            if lab > max_level:
+                continue
             cs = by_lcm.get(lab)
             if cs is None:
                 cs = by_lcm[lab] = tuple(orders3[np.lcm(lab, orders3) <= max_level].tolist())

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orderone import cli, serialize
+from orderone import cli, geometry, serialize, solver
 from orderone.intpoly import IntPoly, decimal_to_int
 from orderone.relations import Relation, enumerate_indecomposable
 from orderone.roots import RootOfUnity
@@ -455,6 +455,26 @@ def test_cli_csv_without_a_table_is_a_usage_error(tmp_path):
         ["weil", "--poly", str(poly), "--newton"],
         ["verify-table2", "--max-order12", "2", "--max-order3", "2", "--max-level", "4"],
         ["verify-theorem", "--max-n", "2"],
+    ):
+        status, out, err = main_in_process(["--format", "csv", *args], tmp_path)
+        assert (status, out) == (2, "")
+        assert err == f"error: {args[0]} has no CSV form; use --format json or text\n"
+
+
+def test_cli_csv_usage_error_comes_before_any_work(tmp_path, monkeypatch):
+    """`--format csv` on a subcommand with no CSV form is rejected before its
+    handler runs: with the handlers' work patched to raise, and a `--poly`
+    file that does not exist, the usage error is still the only output."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(geometry, "build_reports", no_work)
+    monkeypatch.setattr(solver, "verify_table2", no_work)
+    for args in (
+        ["weil", "--poly", str(tmp_path / "missing.json"), "--newton"],
+        ["verify-table2"],
+        ["verify-theorem", "--max-n", "40", "--pairs"],
     ):
         status, out, err = main_in_process(["--format", "csv", *args], tmp_path)
         assert (status, out) == (2, "")

@@ -1,6 +1,9 @@
+import collections
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +395,109 @@ def test_workers_do_not_change_results(monkeypatch):
         assert sorted(pair for pairs, _ in tasks for pair in pairs) == want
         assert grid_is_split(tasks) == (rows is not None)
         assert solve_bounded(6, 6, 24, workers=1) == solve_bounded(6, 6, 24, workers=2)
+
+
+def test_worker_pool_is_capped_by_tasks_and_processors(monkeypatch):
+    """_candidates starts a pool of min(workers, tasks, os.cpu_count())
+    processes, and none when that is 1 or the processor count is unknown.
+    The pool is a stand-in that records its size and maps in this process,
+    so no process is started; the hits do not depend on the worker count."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    tasks = solver._order_pair_tasks(6, 6, 24)
+    assert len(tasks) == 5
+    want = solver._candidates(tasks, 1)
+    for cpus, workers, size in [(4, 100000, 4), (64, 100000, 5), (64, 3, 3), (64, 1, None), (1, 100000, None), (None, 100000, None)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert np.array_equal(solver._candidates(tasks, workers), want)
+        assert sizes == ([] if size is None else [size])
+    sizes.clear()
+    assert solve_bounded(6, 6, 24, workers=100000) == solve_bounded(6, 6, 24)
+    assert sizes == []
+
+
+@SPLIT_GRID
+def test_prefilter_blocks_build_each_pair_rows_once(monkeypatch, rows, block):
+    """_prefilter_blocks stacks a task's rows once: _order_pair_rows is
+    called exactly once per order pair of the task, also when the chunks
+    start and end inside one pair's rows."""
+    split_grid(monkeypatch, rows, block)
+    calls = collections.Counter()
+    build = solver._order_pair_rows
+
+    def counting_rows(a, b):
+        calls[a, b] += 1
+        return build(a, b)
+
+    monkeypatch.setattr(solver, "_order_pair_rows", counting_rows)
+    tasks = solver._order_pair_tasks(12, 12, 60)
+    assert grid_is_split(tasks) == (rows is not None)
+    for pairs, cs in tasks:
+        calls.clear()
+        for _ in solver._prefilter_blocks(pairs, cs):
+            pass
+        assert calls == collections.Counter(pairs)
+
+
+def test_one_search_lays_out_its_grid_once(monkeypatch):
+    """verify_table2 calls _grid_ends once, on the tasks of the box laid end
+    to end; _prefilter_blocks needs no layout of its own."""
+    calls = []
+    lay_out = solver._grid_ends
+
+    def counting_grid_ends(pairs, cs):
+        calls.append(len(pairs))
+        return lay_out(pairs, cs)
+
+    monkeypatch.setattr(solver, "_grid_ends", counting_grid_ends)
+    verify_table2(12, 12, 60)
+    assert calls == [sum(len(pairs) for pairs, _ in solver._order_pair_tasks(12, 12, 60))]
+
+
+def per_pair_grid_ends(pairs, cs):
+    """The grid layout by one count per order pair and per eta3 order."""
+    rows = [len([k for k in primitive(a) if 2 * k <= a]) * len(primitive(b)) for a, b in pairs]
+    return np.cumsum(rows, dtype=np.int64), np.cumsum([len(primitive(c)) for c in cs], dtype=np.int64)
+
+
+@pytest.mark.parametrize("box", [(12, 12, 60), (44, 45, 220)])
+def test_grid_ends_match_per_pair_counts(box):
+    """_grid_ends reads the lower-half count (phi(a) + 1) // 2 and phi(b)
+    off the totient column; on every task, and on all tasks end to end, it
+    equals the counts of the residues themselves."""
+    tasks = solver._order_pair_tasks(*box)
+    everything = ([pair for pairs, _ in tasks for pair in pairs], [c for _, cs in tasks for c in cs])
+    for pairs, cs in [*tasks, everything]:
+        got, want = solver._grid_ends(pairs, cs), per_pair_grid_ends(pairs, cs)
+        assert all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_order_pair_tasks_match_brute_force():
+    """Every order pair a <= b <= 44 with some c <= 45 and lcm(a, b, c) <= 220,
+    grouped by its set of such c in the order of the first pair of each set."""
+    groups = {}
+    for a in range(1, 45):
+        for b in range(a, 45):
+            cs = tuple(c for c in range(1, 46) if math.lcm(a, b, c) <= 220)
+            if cs:
+                groups.setdefault(cs, []).append((a, b))
+    want = [(tuple(pairs), cs) for cs, pairs in groups.items()]
+    assert solver._order_pair_tasks(44, 45, 220) == want
 
 
 # -- reference routes ------------------------------------------------------------
