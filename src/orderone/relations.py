@@ -8,14 +8,17 @@ a multiset (each entry taken 0 or 1 times) and sign lifts (each entry taken
 set make a sum of power-basis vectors vanish.  Vectors are packed into one
 Python int each, so a vector sum is one integer addition; the packing width
 is derived from the inputs, so every sum the search forms packs injectively.
-The tables and the scan keep a fixed order, so a first-hit search (a lift, a
-vanishing subset) returns the same answer on every run.  The mod-2 searches
-are linear algebra over GF(2) and do not use it.
+The halves are lists of bare sums in a fixed order, and a hit's mask is
+looked up by its indices, so a first-hit search (a lift, a vanishing subset)
+returns the same answer on every run.  An exact conjugation-stable partition
+runs the subset search once and recurses on index masks.  The mod-2
+searches are linear algebra over GF(2) and do not use it.
 
 The weight <= 8 classes are enumerated on exponent tuples x mod 2n (values
 zeta_2n^x in +-mu_n) and become `Relation`s only when they survive: (a)
 parts holding an antipodal pair are never listed, (b) one member per
-rotation class is tested, (c) on rows of the level's reduction table.
+rotation class is tested, (c) on rows of the level's reduction table.  The
+parts are matched once per multiset of part sizes, not per composition.
 
 Element values live in the group of roots of unity; an entry is stored as
 (root, sign) with the canonical split convention that sign = -1 is used
@@ -180,16 +183,25 @@ def _bitmask(vec: tuple[int, ...]) -> int:
     return m
 
 
-def _assignments(packed: list[int], choices) -> list[tuple[int, int]]:
-    """(packed sum, mask) of every assignment, bit i picking choices[bit] for vector i.
-
-    Lexicographic order, vector 0 most significant and choices in the given order.
-    """
-    sums = [(0, 0)]
-    for pos, v in enumerate(packed):
-        moves = [(c * v, bit << pos) for bit, c in enumerate(choices)]
-        sums = [(s + d, m | step) for s, m in sums for d, step in moves]
+def _sums(packed: list[int], choices) -> list[int]:
+    """Packed sum of every assignment of two choices to the vectors, in
+    lexicographic order: vector 0 most significant, choices in the given
+    order."""
+    sums = [0]
+    for v in packed:
+        moves = [c * v for c in choices]
+        sums = [s + d for s in sums for d in moves]
     return sums
+
+
+@lru_cache(maxsize=None)
+def _masks(width: int) -> tuple[int, ...]:
+    """Mask of every assignment of `width` vectors (bit i for vector i), in
+    the order `_sums` lists them: index j read backwards as width bits."""
+    masks = [0]
+    for pos in range(width):
+        masks = [m | (bit << pos) for m in masks for bit in (0, 1)]
+    return tuple(masks)
 
 
 @lru_cache(maxsize=4096)
@@ -200,14 +212,17 @@ def _pack(vec: tuple[int, ...], b: int) -> int:
 def _vanishing_masks(vectors, choices, offset=None):
     """Yield every mask whose assignment makes offset + sum c_i * v_i vanish.
 
-    c_i is choices[(mask >> i) & 1], and each choice is 0, 1 or -1: (0, 1)
-    searches subsets, (1, -1) signs.  Meet-in-the-middle: the assignments of
-    the first len // 2 vectors are tabled by sum; those of the rest but the
-    last are listed, and each is completed by every choice for the last
-    vector and looked up as it is formed, so a caller that stops at its
-    first hit stops early.  Both halves run in lexicographic order (vector 0
-    first, choices in the given order), so the first hit pairs the first
-    right half that has a completion with the first such completion.
+    c_i is choices[(mask >> i) & 1], and each of the two choices is 0, 1 or
+    -1: (0, 1) searches subsets, (1, -1) signs.  Meet-in-the-middle: the
+    assignments of the first len // 2 vectors are tabled by sum; those of
+    the rest but the last are listed, and each is completed by every choice
+    for the last vector and looked up as it is formed, so a caller that
+    stops at its first hit stops early.  Both halves run in lexicographic
+    order (vector 0 first, choices in the given order), so the first hit
+    pairs the first right half that has a completion with the first such
+    completion.  The halves are bare sums and the table holds the left
+    indices of each sum; a mask is formed only for a hit, from the `_masks`
+    of its left and right indices.
 
     Each vector x is packed as the int sum x_i * 2^(b*i).  With n rows (the
     vectors and the offset) and M the largest |coordinate|, every coordinate
@@ -227,13 +242,14 @@ def _vanishing_masks(vectors, choices, offset=None):
         return
     half, top = len(packed) // 2, len(packed) - 1
     left: dict[int, list[int]] = {}
-    for s, m in _assignments(packed[:half], choices):
-        left.setdefault(s, []).append(m)
+    for i, s in enumerate(_sums(packed[:half], choices)):
+        left.setdefault(s, []).append(i)
+    left_masks, right_masks = _masks(half), _masks(top - half)
     last = [(target - c * packed[top], bit << top) for bit, c in enumerate(choices)]
-    for s, mr in _assignments(packed[half:top], choices):
+    for j, s in enumerate(_sums(packed[half:top], choices)):
         for need, step in last:
-            for ml in left.get(need - s, ()):
-                yield ml | (mr << half) | step
+            for i in left.get(need - s, ()):
+                yield left_masks[i] | (right_masks[j] << half) | step
 
 
 def _proper_vanishing_subsets(vectors):
@@ -277,6 +293,7 @@ def _find_even_subset(masks: list[int]) -> int | None:
 
 MAX_SUBSET_SEARCH_WEIGHT = 24
 MAX_LIFT_WEIGHT = 20
+MAX_PARTITION_WEIGHT = 18
 
 
 def is_indecomposable(r: Relation, mod2: bool = False) -> bool:
@@ -323,28 +340,48 @@ def _vanishing_exponents(n: int, weight: int):
     sums S_i agree.  (a) -x = (-a) * zeta_p^i lies in the same part, and
     {x, -x} is a proper vanishing sub-multiset at weight >= 3, so parts with
     an antipodal pair are skipped; over +-1 every multiset of weight >= 4
-    holds one."""
+    holds one.  The common part sums of a composition of w into p part sizes
+    depend only on the multiset of its sizes, so they are intersected once
+    per non-increasing size tuple, whose orderings are expanded only when
+    some sum is common to all its sizes."""
     if n == 1:
         if weight == 2:
             yield (0, 1)
         return
     p = max(factorize(n))
     m = n // p
-    for comp in _compositions(weight, p):
-        tables = [_parts_by_sum(m, k) for k in comp]
-        for key in set(tables[0]).intersection(*tables[1:]):
-            for choice in itertools.product(*(t[key] for t in tables)):
-                # zeta_2m^a zeta_p^i = zeta_2n^(a p + 2 m i)
-                yield tuple((a * p + 2 * m * i) % (2 * n) for i, part in enumerate(choice) for a in part)
+    for sizes in _size_multisets(weight, p, weight):
+        tables = {k: _parts_by_sum(m, k) for k in sizes}
+        keys = set.intersection(*map(set, tables.values()))
+        if not keys:
+            continue
+        for comp in _orderings(sizes):
+            for key in keys:
+                for choice in itertools.product(*(tables[k][key] for k in comp)):
+                    # zeta_2m^a zeta_p^i = zeta_2n^(a p + 2 m i)
+                    yield tuple((a * p + 2 * m * i) % (2 * n) for i, part in enumerate(choice) for a in part)
 
 
-def _compositions(total: int, parts: int):
+def _size_multisets(total: int, parts: int, largest: int):
+    """Non-increasing tuples of `parts` ints in 0..largest summing to total."""
     if parts == 1:
-        yield (total,)
+        if total <= largest:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(min(total, largest), -(-total // parts) - 1, -1):
+        for rest in _size_multisets(total - first, parts - 1, first):
             yield (first,) + rest
+
+
+def _orderings(sizes: tuple[int, ...]):
+    """The distinct orderings of a tuple."""
+    if not sizes:
+        yield ()
+        return
+    for k in dict.fromkeys(sizes):
+        i = sizes.index(k)
+        for rest in _orderings(sizes[:i] + sizes[i + 1:]):
+            yield (k,) + rest
 
 
 @lru_cache(maxsize=8)
@@ -473,13 +510,21 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
     stable under complex conjugation.
 
     The mod-2 case follows the inductive symmetric-difference argument.  The
-    exact case peels vanishing sub-multisets that are either self-conjugate
-    (recurse on them) or value-disjoint from their conjugate (mirror an
-    arbitrary indecomposable refinement onto the conjugate copy).  A lift-based
-    route through the mod-2 partition is unsound: there are self-conjugate
-    indecomposable mod-2 relations whose unique sign lift pairs conjugate
-    elements with opposite signs, so no conjugation-equivariant lift exists.
+    exact case peels the smallest vanishing sub-multiset that is either
+    self-conjugate (recurse on it) or has a conjugate copy in the rest (peel
+    both; it is indecomposable, as each vanishing subset of it would have
+    been a smaller candidate).  A lift-based route through the mod-2
+    partition is unsound: there are self-conjugate indecomposable mod-2
+    relations whose unique sign lift pairs conjugate elements with opposite
+    signs, so no conjugation-equivariant lift exists.
+
+    The exact case runs the subset search once: a vanishing subset of a part
+    is a vanishing subset of the whole relation, so every level of the
+    recursion is an index mask, and its candidates are the whole relation's
+    vanishing masks inside it, in the same (size, mask) order.
     """
+    if not mod2 and r.weight > MAX_PARTITION_WEIGHT:
+        raise CapacityError(f"exact conjugation-stable partition capped at weight {MAX_PARTITION_WEIGHT}")
     values = r.values()
     vecs = _vectors(values)
     if not _vanishes(vecs, mod2):
@@ -489,32 +534,25 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
         masks = [_bitmask(v) for v in vecs]
         parts = _mod2_partition(masks, c, frozenset(range(len(values))))
         return [Relation.from_values([values[i] for i in sorted(p)]) for p in parts]
-    if r.weight > 18:
-        raise CapacityError("exact conjugation-stable partition capped at weight 18")
     out: list[list[RootOfUnity]] = []
-    _exact_partition(values, out)
+    _exact_partition(values, _zero_sum_subsets(vecs), (1 << len(values)) - 1, out)
     return [Relation.from_values(vs) for vs in out]
 
 
 def _zero_sum_subsets(vectors) -> list[int]:
     """All proper nonempty index subsets with exact zero sum, as masks, smallest first."""
-    return sorted(_proper_vanishing_subsets(vectors), key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(_proper_vanishing_subsets(vectors))
+    masks.sort(key=int.bit_count)  # stable: (size, mask) order
+    return masks
 
 
-def _plain_partition(values: list[RootOfUnity], out: list[list[RootOfUnity]]) -> None:
-    """Partition into indecomposable exact relations, no conjugation constraint."""
-    if not values:
-        return
-    vecs = _vectors(values)
-    subsets = _zero_sum_subsets(vecs)
-    if not subsets:
-        out.append(list(values))
-        return
-    m = subsets[0]  # minimal size, hence indecomposable
-    part = [v for i, v in enumerate(values) if (m >> i) & 1]
-    rest = [v for i, v in enumerate(values) if not (m >> i) & 1]
-    out.append(part)
-    _plain_partition(rest, out)
+def _inside(subsets: list[int], mask: int) -> list[int]:
+    """The masks of `subsets` that are proper subsets of mask, in their order."""
+    return [m for m in subsets if m & mask == m and m != mask]
+
+
+def _picked(values, mask: int) -> list:
+    return [v for i, v in enumerate(values) if (mask >> i) & 1]
 
 
 def _multiset(values) -> dict:
@@ -524,43 +562,41 @@ def _multiset(values) -> dict:
     return out
 
 
-def _exact_partition(values: list[RootOfUnity], out: list[list[RootOfUnity]]) -> None:
-    """Conjugation-stable refinement of a conjugation-stable exact relation."""
-    if not values:
+def _exact_partition(values, subsets, mask: int, out: list[list[RootOfUnity]]) -> None:
+    """Conjugation-stable refinement of the masked values, a conjugation-stable
+    exact relation; subsets hold every vanishing mask inside mask, in (size,
+    mask) order, and each level hands its children the ones inside it."""
+    if not mask:
         return
-    vecs = _vectors(values)
-    subsets = _zero_sum_subsets(vecs)
-    if not subsets:
-        out.append(list(values))
+    inner = _inside(subsets, mask)
+    if not inner:
+        out.append(_picked(values, mask))
         return
-    total = _multiset(values)
-    for m in subsets:
-        part = [v for i, v in enumerate(values) if (m >> i) & 1]
+    total = _multiset(_picked(values, mask))
+    for m in inner:
+        part = _picked(values, m)
         part_ms = _multiset(part)
         conj_ms = _multiset([v.conjugate() for v in part])
         if part_ms == conj_ms:
-            rest = [v for i, v in enumerate(values) if not (m >> i) & 1]
-            _exact_partition(part, out)
-            _exact_partition(rest, out)
+            _exact_partition(values, inner, m, out)
+            _exact_partition(values, inner, mask & ~m, out)
             return
         remainder = dict(total)
         for v, k in part_ms.items():
             remainder[v] -= k
         if all(remainder.get(v, 0) >= k for v, k in conj_ms.items()):
-            # carve a conjugate copy out of the complement, mirror the refinement
-            rest = []
+            # peel the part and a conjugate copy carved out of the complement.
+            # The part is indecomposable: a vanishing subset s of it is
+            # smaller, so it came first, and it qualified, as conj(s) lies in
+            # conj(part), hence in the complement of s.
+            rest = mask & ~m
             need = dict(conj_ms)
             for i, v in enumerate(values):
-                if (m >> i) & 1:
-                    continue
-                if need.get(v, 0) > 0:
+                if (rest >> i) & 1 and need.get(v, 0) > 0:
                     need[v] -= 1
-                else:
-                    rest.append(v)
-            sub: list[list[RootOfUnity]] = []
-            _plain_partition(part, sub)
-            out.extend(sub)
-            out.extend([[v.conjugate() for v in p] for p in sub])
-            _exact_partition(rest, out)
+                    rest &= ~(1 << i)
+            out.append(part)
+            out.append([v.conjugate() for v in part])
+            _exact_partition(values, inner, rest, out)
             return
     raise ArithmeticError("no conjugation-compatible vanishing sub-multiset found")

@@ -1,6 +1,7 @@
 import itertools
 import random
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from conftest import equivariant_sign_flip, random_conjugation_stable_relation
 from orderone.arith import factorize
 from orderone.cyclo import _reduction_table, root_sum
+from orderone import relations
 from orderone.relations import (
+    MAX_PARTITION_WEIGHT,
     CapacityError,
     Relation,
     RelationClass,
@@ -17,8 +20,11 @@ from orderone.relations import (
     is_indecomposable,
     lift_is_unique,
     lift_mod2,
+    _pack,
     _vanishing_exponents,
     _vanishing_masks,
+    _vectors,
+    _zero_sum_subsets,
 )
 from orderone.roots import ROOT_ONE, RootOfUnity
 
@@ -416,6 +422,62 @@ def test_vanishing_masks_against_brute_force(level, height, choices, with_offset
     assert hits >= 4  # not only the empty subset
 
 
+# -- the tuple scan, kept as the oracle of the scan order ----------------------
+#
+# Every assignment carried as a (packed sum, mask) tuple; the library carries
+# bare sums and decodes a mask from its index only on a hit.
+
+
+def tuple_assignments(packed, choices):
+    """(packed sum, mask) of every assignment, bit i picking choices[bit] for vector i.
+
+    Lexicographic order, vector 0 most significant and choices in the given order.
+    """
+    sums = [(0, 0)]
+    for pos, v in enumerate(packed):
+        moves = [(c * v, bit << pos) for bit, c in enumerate(choices)]
+        sums = [(s + d, m | step) for s, m in sums for d, step in moves]
+    return sums
+
+
+def tuple_vanishing_masks(vectors, choices, offset=None):
+    rows = list(vectors) if offset is None else [*vectors, offset]
+    height = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+    b = (len(rows) * height).bit_length() + 1
+    packed = [_pack(v, b) for v in vectors]
+    target = -_pack(offset, b) if offset is not None else 0
+    if not packed:
+        if target == 0:
+            yield 0
+        return
+    half, top = len(packed) // 2, len(packed) - 1
+    left = {}
+    for s, m in tuple_assignments(packed[:half], choices):
+        left.setdefault(s, []).append(m)
+    last = [(target - c * packed[top], bit << top) for bit, c in enumerate(choices)]
+    for s, mr in tuple_assignments(packed[half:top], choices):
+        for need, step in last:
+            for ml in left.get(need - s, ()):
+                yield ml | (mr << half) | step
+
+
+@pytest.mark.parametrize("level", [105, 420, 1155])
+@pytest.mark.parametrize("choices", [(0, 1), (1, -1)])
+@pytest.mark.parametrize("with_offset", [False, True])
+def test_vanishing_masks_scan_order_is_the_tuple_scan(level, choices, with_offset):
+    """Same masks in the same order, so every first hit (a lift, a vanishing
+    subset) is the one the tuple scan finds first."""
+    rng = random.Random(level * 4 + choices[1] * 2 + with_offset)
+    hits = 0
+    for _ in range(16):
+        vecs = random_vectors(rng, level)
+        offset = vecs.pop(0) if with_offset else None
+        want = list(tuple_vanishing_masks(vecs, choices, offset))
+        assert list(_vanishing_masks(vecs, choices, offset)) == want
+        hits += len(want) > 1
+    assert hits >= 2  # orders of several hits are compared
+
+
 def test_vanishing_masks_edges():
     assert list(_vanishing_masks([], (0, 1))) == [0]
     assert list(_vanishing_masks([], (1, -1), offset=(1, 0))) == []
@@ -487,6 +549,122 @@ def test_partitions_on_random_corpus(weight8_classes):
         flipped = equivariant_sign_flip(rng, rel)
         mparts = conjugation_stable_partition(flipped, mod2=True)
         _check_partition(flipped, mparts, mod2=True)
+
+
+# -- the value-recursive partition, kept as the oracle ------------------------
+#
+# Every level of the recursion is a list of values and runs its own subset
+# search; the library runs one search per relation and recurses on masks.
+
+
+def oracle_zero_sum_subsets(values) -> list[int]:
+    full = (1 << len(values)) - 1
+    masks = [m for m in _vanishing_masks(_vectors(values), (0, 1)) if m not in (0, full)]
+    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+
+
+def oracle_plain_partition(values, out) -> None:
+    if not values:
+        return
+    subsets = oracle_zero_sum_subsets(values)
+    if not subsets:
+        out.append(list(values))
+        return
+    m = subsets[0]
+    out.append([v for i, v in enumerate(values) if (m >> i) & 1])
+    oracle_plain_partition([v for i, v in enumerate(values) if not (m >> i) & 1], out)
+
+
+def oracle_exact_partition(values, out) -> None:
+    if not values:
+        return
+    subsets = oracle_zero_sum_subsets(values)
+    if not subsets:
+        out.append(list(values))
+        return
+    total = Counter(values)
+    for m in subsets:
+        part = [v for i, v in enumerate(values) if (m >> i) & 1]
+        part_ms = Counter(part)
+        conj_ms = Counter([v.conjugate() for v in part])
+        if part_ms == conj_ms:
+            oracle_exact_partition(part, out)
+            oracle_exact_partition([v for i, v in enumerate(values) if not (m >> i) & 1], out)
+            return
+        remainder = dict(total)
+        for v, k in part_ms.items():
+            remainder[v] -= k
+        if all(remainder.get(v, 0) >= k for v, k in conj_ms.items()):
+            rest, need = [], dict(conj_ms)
+            for i, v in enumerate(values):
+                if (m >> i) & 1:
+                    continue
+                if need.get(v, 0) > 0:
+                    need[v] -= 1
+                else:
+                    rest.append(v)
+            sub = []
+            oracle_plain_partition(part, sub)
+            out.extend(sub)
+            out.extend([[v.conjugate() for v in p] for p in sub])
+            oracle_exact_partition(rest, out)
+            return
+    raise ArithmeticError("no conjugation-compatible vanishing sub-multiset found")
+
+
+# repeated values, as in the relations of the 16 terms of g at its zeros:
+# thousands of vanishing subsets, and parts of several types
+MANY_SUBSETS = [
+    reduce(Relation.union, [R2] * 8),
+    reduce(Relation.union, [R2] * 4 + [R2.rotate(r(1, 4))] * 4),
+    reduce(Relation.union, [R3] * 2 + [R3.rotate(r(1, 2))] * 2 + [R2] * 3),
+    reduce(Relation.union, [R5, R5.rotate(r(1, 2))] + [R2] * 4),
+]
+
+
+def test_partition_equals_value_recursive_oracle(weight8_classes):
+    reps = [c.representative for c in weight8_classes]
+    rng = random.Random(24)
+    corpus = MANY_SUBSETS + [random_conjugation_stable_relation(rng, reps) for _ in range(320)]
+    assert len(_zero_sum_subsets(_vectors(MANY_SUBSETS[0].values()))) > 10000
+    peeled = 0
+    for rel in corpus:
+        out = []
+        oracle_exact_partition(rel.values(), out)
+        want = [Relation.from_values(vs) for vs in out]
+        assert repr(conjugation_stable_partition(rel)) == repr(want)
+        peeled += len(want) >= 3
+    assert peeled >= 50  # many relations recurse more than one level
+
+
+def test_partition_searches_subsets_once(monkeypatch):
+    calls = []
+    search = relations._vanishing_masks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(relations, "_vanishing_masks", counted)
+    r3 = R3.rotate(r(1, 7))
+    rel = r3.union(r3.conjugate()).union(R2.rotate(r(1, 4))).union(R5)
+    parts = conjugation_stable_partition(rel)
+    assert len(calls) == 1
+    assert len(parts) == 4
+    _check_partition(rel, parts, mod2=False)
+
+
+def test_partition_weight_cap():
+    assert MAX_PARTITION_WEIGHT == 18
+    ten = Relation.make([(ROOT_ONE, 1), (ROOT_ONE, -1)] * 10)
+    with pytest.raises(CapacityError, match="capped at weight 18"):
+        conjugation_stable_partition(ten)
+    assert [p.weight for p in conjugation_stable_partition(ten, mod2=True)] == [2] * 10
+    # the cap is checked before the input is: not a relation, not stable
+    with pytest.raises(CapacityError):
+        conjugation_stable_partition(Relation.from_values([r(k, 29) for k in range(19)]))
+    nine = Relation.make([(ROOT_ONE, 1), (ROOT_ONE, -1)] * 9)
+    assert conjugation_stable_partition(nine) == [R2] * 9
 
 
 def test_relation_class_labels(weight8_classes):
