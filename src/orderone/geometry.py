@@ -356,12 +356,20 @@ def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
             break
     else:
         raise ArithmeticError("degenerate modular radical degree for every profile prime")
-    # d / profile[m] bounds the multiplicity at m from above, so the smallest
-    # radical degrees come first and d <= f * profile[m] means d / profile[m] <= f
+    # The exact radical degree s at m divides d and is at least profile[m],
+    # and the multiplicity there is d / (e_m s), with e_m = 2 when s = 1 (a
+    # linear radical is real) and e_m >= 1 otherwise.  So bound[r], the
+    # largest d / (e_s s) over the divisors s >= r of d (e_1 = 2, else 1),
+    # floored as multiplicities are integers, bounds the multiplicity at every
+    # m with profile[m] = r.  Fewer divisors qualify as r grows, so it never
+    # grows with r: the smallest radical degrees come first and the scan stops
+    # at the first bound that cannot beat best_f.
+    bound = {r: max(d // (2 * s if s == 1 else s) for s in divisors(d) if s >= r)
+             for r in set(profile.values())}
     # baseline at m = 1: a real radical or a non-squarefree weil may act already
     best_f, best_m = _exact_f(weil, 1, profile[1]), 1
     for m in sorted(m_set, key=lambda m: (profile[m], m)):
-        if d <= best_f * profile[m]:
+        if bound[profile[m]] <= best_f:
             break
         fm = _exact_f(weil, m, profile[m])
         if fm > best_f:
@@ -370,7 +378,7 @@ def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
     for m in m_set:
         if m >= best_m:
             break
-        if d >= best_f * profile[m] and _exact_f(weil, m, profile[m]) == best_f:
+        if bound[profile[m]] >= best_f and _exact_f(weil, m, profile[m]) == best_f:
             best_m = m
             break
     return best_f, best_m
@@ -427,8 +435,11 @@ def build_reports(n: int) -> tuple[DecompositionReport, ...]:
         if factor in seen:
             continue
         seen.append(factor)
-        weil = real_to_weil(factor, F2)
-        polygon = newton_polygon(weil, F2)
+        if factor == rec.real_weil:
+            weil, polygon = rec.weil, rec.newton
+        else:
+            weil = real_to_weil(factor, F2)
+            polygon = newton_polygon(weil, F2)
         if np_forces_geom_simple(polygon):
             f_o, m_star = 1, 1
         else:

@@ -157,13 +157,16 @@ class IntPoly:
         return acc
 
     def compose(self, inner: "IntPoly") -> "IntPoly":
-        """self(inner(x)), by Horner in inner."""
-        inner = _coerce(inner).coeffs
-        acc: list[int] = []
-        for c in reversed(self.coeffs):
-            acc = _mul_coeffs(acc, inner) or [0]
-            acc[0] += c
-        return IntPoly(acc)
+        """self(inner(x)), by packed Horner in inner (see _horner_packed).
+
+        |coefficient| <= ||self||_1 * max(1, ||inner||_1)^deg self, as each
+        coefficient of inner^k is at most ||inner||_1^k in size."""
+        inner = _coerce(inner)
+        if self.is_zero():
+            return self
+        bound = _norm1(self.coeffs) * max(1, _norm1(inner.coeffs)) ** self.degree()
+        length = self.degree() * max(0, inner.degree()) + 1
+        return IntPoly(_horner_packed(self.coeffs, inner.coeffs, 0, _digit_bytes(bound), length))
 
     def __repr__(self):
         if self.is_zero():
@@ -219,19 +222,71 @@ def _mul_coeffs(long, short) -> list[int]:
     return out
 
 
+def _norm1(coeffs) -> int:
+    return sum(map(abs, coeffs))
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit that hold every integer of size at most bound as a
+    signed digit, strictly inside (-2^(b-1), 2^(b-1)) for b = 8 * bytes."""
+    return bound.bit_length() // 8 + 1
+
+
+def _horner_packed(digits, inner, shift: int, width: int, length: int) -> list[int]:
+    """The `length` coefficients, lowest first, of the Horner scheme
+    acc <- acc * inner + c x^(shift j), run over the digits from the top
+    (c = digits[d - j] at step j = 0, ..., d), by Kronecker substitution.
+
+    Each polynomial is held as its value at x = 2^b, b = 8 * width bits per
+    digit, in one Python int, so a step is acc = sum_i inner_i (acc << b i)
+    + (c << b shift j) over the nonzero inner_i: a few shifts and adds in C.
+    Evaluation at 2^b is a ring map Z[x] -> Z, so the final value is the
+    result's value at 2^b, whatever the intermediate values are.  It is read
+    back as signed base-2^b digits: adding 2^(b-1) to every digit makes each
+    one a byte slice of `to_bytes`.  That reading is the result exactly when
+    each result coefficient lies strictly inside (-2^(b-1), 2^(b-1)), which
+    the caller's width, from an a priori bound, guarantees.  A value that
+    does not fit `length` digits, or a digit at -2^(b-1) (an all-zero slice),
+    raises ArithmeticError; a width below the bound can still go undetected.
+    """
+    step = 8 * width
+    terms = [(a, step * i) for i, a in enumerate(inner) if a]
+    acc = 0
+    for j, c in enumerate(reversed(digits)):
+        nxt = c << (step * shift * j)
+        for a, s in terms:
+            if a == 1:
+                nxt += acc << s
+            elif a == -1:
+                nxt -= acc << s
+            else:
+                nxt += (a * acc) << s
+        acc = nxt
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    try:
+        raw = (acc + offset).to_bytes(width * length, "little")
+    except OverflowError:
+        raise ArithmeticError(f"packed Horner value does not fit {length} digits of {step} bits") from None
+    out = [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * length, width)]
+    if 0 in out:
+        raise ArithmeticError(f"a coefficient falls outside the {step}-bit signed digit range")
+    half = 1 << (step - 1)
+    return [v - half for v in out]
+
+
 def homogenize(r: IntPoly, quad: IntPoly) -> IntPoly:
     """x^d * r(quad(x) / x) = sum_k r_k * quad^k * x^(d - k), d = deg r, for a
-    quadratic quad; Horner in quad, where after j steps the digit r_(d - j)
-    lands on x^j."""
+    quadratic quad; packed Horner in quad (see _horner_packed), where after j
+    steps the digit r_(d - j) lands on x^j.
+
+    |coefficient| <= ||r||_1 * ||quad||_1^d, as each coefficient of quad^k is
+    at most ||quad||_1^k <= ||quad||_1^d in size."""
     if quad.degree() != 2:
         raise ValueError("homogenize needs a quadratic")
     if r.is_zero():
         return r
-    acc = [r.coeffs[-1]]
-    for j, c in enumerate(reversed(r.coeffs[:-1]), 1):
-        acc = _mul_coeffs(acc, quad.coeffs)
-        acc[j] += c
-    return IntPoly(acc)
+    bound = _norm1(r.coeffs) * _norm1(quad.coeffs) ** r.degree()
+    return IntPoly(_horner_packed(r.coeffs, quad.coeffs, 1, _digit_bytes(bound), 2 * r.degree() + 1))
 
 
 def dehomogenize(f: IntPoly, quad: IntPoly) -> IntPoly:

@@ -180,7 +180,8 @@ def cache_get_or_compute(key: str, compute, directory: Path):
     os.close(fd)
     tmp = Path(name)
     try:
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        # no indent: CPython's C encoder runs only without one
+        tmp.write_text(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

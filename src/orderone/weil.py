@@ -52,6 +52,19 @@ class NewtonPolygon:
         return all(s in (0, 1) for s in self.slopes())
 
 
+def _valuation(c: int, p: int) -> int:
+    """The p-adic valuation of a nonzero int.  For p = 2 it is the index of
+    the lowest set bit, c & -c isolating that bit (also for negative c);
+    other p divide once per factor."""
+    if p == 2:
+        return (c & -c).bit_length() - 1
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
 def newton_polygon(f: IntPoly, ctx: WeilContext) -> NewtonPolygon:
     """Slope data of f for the valuation normalized so that v(q) = 1.
 
@@ -62,14 +75,7 @@ def newton_polygon(f: IntPoly, ctx: WeilContext) -> NewtonPolygon:
         raise ValueError("Newton polygon of the zero polynomial")
     if f[0] == 0:
         raise ValueError("Newton polygon requires a nonzero constant term")
-    pts = []
-    for i, c in enumerate(f.coeffs):
-        if c:
-            v = 0
-            while c % ctx.p == 0:
-                c //= ctx.p
-                v += 1
-            pts.append((i, v))
+    pts = [(i, _valuation(c, ctx.p)) for i, c in enumerate(f.coeffs) if c]
     # lower convex hull, left to right
     hull: list[tuple[int, int]] = []
     for pt in pts:

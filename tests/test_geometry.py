@@ -744,3 +744,85 @@ def test_exact_drop_at_full_radical_degree_needs_no_radical(monkeypatch):
                 checked += 1
     assert checked > 0
     assert seen == [] and tried == []
+
+
+def test_decompose_pass_exact_steps_are_pinned(monkeypatch):
+    """From cold geometry caches, the reports for n <= 32 run 63 exact steps
+    under the divisor bound F(r) (137 under d / r): n = 1 runs 3 (38), n = 2
+    runs 1 (25) and n = 4 runs 3 (18)."""
+    from collections import Counter
+
+    calls, real, current = Counter(), geometry._exact_f, [0]
+
+    def counting(weil, m, rdeg):
+        calls[current[0]] += 1
+        return real(weil, m, rdeg)
+
+    monkeypatch.setattr(geometry, "_exact_f", counting)
+    _clear_geometry_caches()
+    for n in range(1, 33):
+        current[0] = n
+        build_reports(n)
+    want = {n: 2 for n in range(3, 33) if n not in (4, 8, 16, 32)}
+    want.update({1: 3, 2: 1, 4: 3, 7: 4, 30: 4})
+    assert dict(calls) == want
+    assert sum(calls.values()) == 63
+    _clear_geometry_caches()
+
+
+def _f_oracle_by_degree_bound(weil: IntPoly, m_set) -> tuple[int, int]:
+    """f_oracle with d / profile[m] as the bound at m in both loops: the scan
+    before the divisor bound, kept as a test oracle."""
+    from orderone.geometry import PROFILE_PRIMES, _exact_f, _radical_degree_profile
+
+    m_set = sorted(set(m_set))
+    d = weil.degree()
+    for p in PROFILE_PRIMES:
+        profile = _radical_degree_profile(weil, sorted(set(m_set) | {1}), p) if p > d else {}
+        if profile and min(profile.values()) > 0:
+            break
+    best_f, best_m = _exact_f(weil, 1, profile[1]), 1
+    for m in sorted(m_set, key=lambda m: (profile[m], m)):
+        if d <= best_f * profile[m]:
+            break
+        fm = _exact_f(weil, m, profile[m])
+        if fm > best_f:
+            best_f, best_m = fm, m
+    for m in m_set:
+        if m >= best_m:
+            break
+        if d >= best_f * profile[m] and _exact_f(weil, m, profile[m]) == best_f:
+            best_m = m
+            break
+    return best_f, best_m
+
+
+def test_divisor_bound_keeps_every_multiplicity():
+    """(f, m*) of every report for n <= 64 on which the oracle runs equals
+    the d / r scan's."""
+    from orderone.weil import np_forces_geom_simple, newton_polygon
+
+    checked = 0
+    for n in range(1, 65):
+        for rep in build_reports(n):
+            if np_forces_geom_simple(newton_polygon(rep.weil, F2)):
+                continue
+            want = _f_oracle_by_degree_bound(rep.weil, default_m_set(n))
+            assert (rep.f_oracle, rep.stabilizing_m) == want, n
+            checked += 1
+    assert checked == 62
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30, 31])
+def test_reports_reuse_the_record_weil_data(monkeypatch, n):
+    """A factor equal to the record's real Weil polynomial takes the record's
+    Weil polynomial and polygon; only the split classes 2, 7 and 30 transform
+    their factors again."""
+    calls = []
+    monkeypatch.setattr(geometry, "real_to_weil", lambda f, ctx: calls.append(f) or real_to_weil(f, ctx))
+    reports = build_reports.__wrapped__(n)
+    rec = build_record(n)
+    split = [f for f in rec.simple_factors if f != rec.real_weil]
+    assert calls == list(dict.fromkeys(split))
+    assert bool(split) == (n in (2, 7, 30))
+    assert reports == build_reports(n)

@@ -236,3 +236,121 @@ def test_content_primitive():
     assert f.content() == 3
     assert f.primitive() == IntPoly([2, -3, 4])
     assert (-f).content() == -3
+
+
+# -- the packed Horner kernel ------------------------------------------------------
+
+
+def _tightest_width(p: IntPoly) -> int:
+    """The fewest bytes per digit that hold every coefficient of p strictly
+    inside (-2^(b-1), 2^(b-1)), b = 8 * bytes."""
+    return max((abs(c).bit_length() for c in p.coeffs), default=0) // 8 + 1
+
+
+@given(any_poly(10), any_poly(3))
+@settings(max_examples=150)
+def test_packed_compose_at_the_tightest_width(f, inner):
+    """At the narrowest width that holds the result, the kernel reads back
+    f(inner) exactly, zero and constant inner included."""
+    want = compose_by_products(f, inner)
+    if f.is_zero():
+        assert f.compose(inner).is_zero()
+        return
+    length = f.degree() * max(0, inner.degree()) + 1
+    got = intpoly._horner_packed(f.coeffs, inner.coeffs, 0, _tightest_width(want), length)
+    assert IntPoly(got) == want
+    assert f.compose(inner) == want
+
+
+@given(nonzero_poly(10), quadratic)
+@settings(max_examples=150)
+def test_packed_homogenize_at_the_tightest_width(r, quad):
+    want = homogenize_by_products(r, quad)
+    got = intpoly._horner_packed(r.coeffs, quad.coeffs, 1, _tightest_width(want), 2 * r.degree() + 1)
+    assert IntPoly(got) == want
+
+
+def _edge_digit(width: int):
+    """Digits of b = 8 * width bits, biased to the ends of the signed range."""
+    top = 2 ** (8 * width - 1) - 1
+    return st.one_of(st.sampled_from([top, -top, top - 1, -top + 1, 1, -1, 0]),
+                     st.integers(min_value=-top, max_value=top))
+
+
+@st.composite
+def edge_digits(draw):
+    width = draw(st.integers(min_value=1, max_value=3))
+    digits = draw(st.lists(_edge_digit(width), min_size=1, max_size=12))
+    lead = draw(_edge_digit(width).filter(bool))
+    return width, digits + [lead]
+
+
+@given(edge_digits())
+@settings(max_examples=200)
+def test_packed_horner_reads_digits_at_the_range_ends(case):
+    """Results whose coefficients reach +-(2^(b-1) - 1), with a negative
+    leading digit among them, unpack exactly: inner x gives the digits back,
+    and x^2 with shift 1 lands them d places up."""
+    width, digits = case
+    d = len(digits) - 1
+    assert intpoly._horner_packed(digits, [0, 1], 0, width, d + 1) == digits
+    assert intpoly._horner_packed(digits, [0, 0, 1], 1, width, 2 * d + 1) == [0] * d + digits
+
+
+@pytest.mark.parametrize("inner", [IntPoly(), IntPoly([5]), IntPoly([-3]), IntPoly([0, 1])])
+@pytest.mark.parametrize("f", [IntPoly([7]), IntPoly([-2]), IntPoly([1, -2, 3]), IntPoly([0, 0, -1])])
+def test_compose_with_zero_and_constant_inner(f, inner):
+    assert f.compose(inner) == compose_by_products(f, inner)
+    if inner.degree() <= 0:
+        assert f.compose(inner) == IntPoly([f.eval(inner[0])])
+
+
+@pytest.mark.parametrize("quad", PINNED_QUADS + [IntPoly([0, 0, -3])])
+def test_homogenize_of_degree_zero(quad):
+    assert homogenize(IntPoly([-11]), quad) == IntPoly([-11])
+    assert homogenize(IntPoly(), quad) == IntPoly()
+
+
+big_coeff = st.builds(lambda k, s: k * 10 ** 4400 + s, st.integers(-3, 3), st.integers(-9, 9))
+
+
+@given(st.lists(big_coeff, min_size=1, max_size=6).map(IntPoly), any_poly(2), quadratic)
+@settings(max_examples=25, deadline=None)
+def test_packed_horner_past_4300_digits(f, inner, quad):
+    """Coefficients beyond Python's int-to-str limit: the kernel never goes
+    through decimal strings."""
+    assert f.compose(inner) == compose_by_products(f, inner)
+    assert homogenize(f, quad) == homogenize_by_products(f, quad)
+
+
+@pytest.mark.parametrize(
+    "digits, length",
+    [
+        ([128], 1),        # 2^(b-1) at the top: the value overflows the digits
+        ([-128], 1),       # -2^(b-1): an all-zero digit slice
+        ([-129], 1),       # below the range: the offset value is negative
+        ([128, 1], 2),     # 2^(b-1) in a lower digit carries into the next
+        ([1, 0, 300], 3),  # past the top digit
+    ],
+)
+def test_packed_horner_too_narrow_raises(digits, length):
+    with pytest.raises(ArithmeticError, match="8-bit|8 bits"):
+        intpoly._horner_packed(digits, [0, 1], 0, 1, length)
+    # one byte more holds them
+    assert intpoly._horner_packed(digits, [0, 1], 0, 2, length) == digits
+
+
+def test_narrow_width_raises_through_compose(monkeypatch):
+    """compose sizes its width by _digit_bytes; forced one byte, a result
+    coefficient of 2^7 raises rather than reading back wrong."""
+    monkeypatch.setattr(intpoly, "_digit_bytes", lambda bound: 1)
+    with pytest.raises(ArithmeticError):
+        IntPoly([0, 0, 0, 0, 0, 0, 0, 1]).compose(IntPoly([2]))  # 2^7 = 128
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_digit_bytes_is_the_tightest_width(width):
+    top = 2 ** (8 * width - 1)
+    assert intpoly._digit_bytes(top - 1) == width
+    assert intpoly._digit_bytes(top) == width + 1
+    assert intpoly._digit_bytes(0) == 1

@@ -158,3 +158,20 @@ def test_build_record_reads_ordinary_off_its_polygon(monkeypatch, n):
     assert calls == [rec.weil]
     assert rec.ordinary == is_ordinary(rec.weil, F2)
     assert rec == build_record(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 30, 31])
+def test_build_record_transforms_each_polynomial_once(monkeypatch, n):
+    """P_n(3 - x) is built once; only the pinned split lists of n = 2, 7, 30
+    transform their factors on top, and their product still checks."""
+    from orderone import madanpal
+
+    calls = []
+    real = madanpal._real_weil_factor
+    monkeypatch.setattr(madanpal, "_real_weil_factor", lambda f: calls.append(f) or real(f))
+    rec = build_record.__wrapped__(n)
+    extra = list(madanpal.KNOWN_FACTORS.get(n, ()))
+    assert calls == [rec.p_n] + extra
+    assert rec == build_record(n)
+    if not extra:
+        assert rec.simple_factors == (rec.real_weil,)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -251,3 +252,36 @@ def test_real_and_weil_polygon_slopes_agree_below_half():
         low_weil = sorted(s for s in weil_np.slopes() if 0 <= s < Fraction(1, 2))
         low_real = sorted(s for s in real_np.slopes() if 0 <= s < Fraction(1, 2))
         assert low_weil == low_real, n
+
+
+def _valuation_by_division(c: int, p: int) -> int:
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=1, max_value=10 ** 40),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_valuation_routes_agree(p, v, unit, negative):
+    """The lowest-set-bit route for p = 2 and the division loop agree with
+    each other and with the valuation built in, for either sign."""
+    unit = unit * p + 1 if unit % p == 0 else unit
+    c = (-1 if negative else 1) * unit * p ** v
+    assert weil._valuation(c, p) == _valuation_by_division(c, p) == v
+    if p == 2:
+        assert (c & -c).bit_length() - 1 == v
+
+
+def test_valuation_of_random_ints():
+    rng = random.Random(25)
+    for _ in range(2000):
+        c = rng.choice([-1, 1]) * rng.randrange(1, 2 ** rng.randrange(1, 400))
+        for p in (2, 3, 5):
+            assert weil._valuation(c, p) == _valuation_by_division(c, p), (c, p)
