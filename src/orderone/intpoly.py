@@ -255,12 +255,7 @@ def _horner_packed(digits, inner, shift: int, width: int, length: int) -> list[i
     for j, c in enumerate(reversed(digits)):
         nxt = c << (step * shift * j)
         for a, s in terms:
-            if a == 1:
-                nxt += acc << s
-            elif a == -1:
-                nxt -= acc << s
-            else:
-                nxt += (a * acc) << s
+            nxt += (a * acc) << s
         acc = nxt
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
     try:

@@ -90,16 +90,12 @@ def build_record(n: int) -> MadanPalRecord:
     p = madan_pal_poly(n)
     real_weil = _real_weil_factor(p)
     weil = real_to_weil(real_weil, F2)
-    if n in KNOWN_FACTORS:
-        factors = tuple(_real_weil_factor(f) for f in simple_factor_list(n))
-        prod = IntPoly([1])
-        for f in factors:
-            prod = prod * f
-        if prod != real_weil:
-            raise ArithmeticError(f"n={n}: factor transform does not multiply back")
-    else:
-        # simple_factor_list(n) is [P_n], whose transform is real_weil
-        factors = (real_weil,)
+    factors = tuple(real_weil if f == p else _real_weil_factor(f) for f in simple_factor_list(n))
+    prod = IntPoly([1])
+    for f in factors:
+        prod = prod * f
+    if prod != real_weil:
+        raise ArithmeticError(f"n={n}: factor transform does not multiply back")
     if p.degree() != max(2, euler_phi(n)):
         raise ArithmeticError(f"n={n}: P_n has degree {p.degree()}")
     if weil.eval(1) != 1:
