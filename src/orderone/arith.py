@@ -1,8 +1,8 @@
 """Elementary number theory on positive integers.
 
-Everything is derived from one trial-division factorization; the integers
-factored here (class indices, extension degrees, levels, prime powers q) are
-small.
+Everything but is_power_of_two is derived from one trial-division
+factorization; the integers factored here (class indices, extension degrees,
+levels, the prime p of a field size q) are small.
 """
 from __future__ import annotations
 
@@ -35,6 +35,11 @@ def divisors(n: int) -> list[int]:
 
 def euler_phi(n: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n).items())
+
+
+def is_power_of_two(n: int) -> bool:
+    """True for 1, 2, 4, 8, ...; False for every n < 1."""
+    return n >= 1 and n & (n - 1) == 0
 
 
 def is_prime(n: int) -> bool:

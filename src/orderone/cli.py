@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 from pathlib import Path
 
 from . import geometry, madanpal, relations, serialize, solver
-from .arith import factorize
 from .intpoly import decimal_to_int
 from .weil import (
     WeilContext,
@@ -107,12 +107,24 @@ def _cmd_weil(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# --q is trial-divided up to this bound only, so a large q answers at once
+Q_TRIAL_BOUND = 2 ** 20
+
+
 def _context_for_q(q: int) -> WeilContext:
-    # q < 2 reaches WeilContext, which rejects it with a message
-    factors = factorize(q) if q > 1 else {q: 1}
-    if len(factors) != 1:
+    """The field of q = p^a elements.  p is q's least prime factor, found by
+    trial division up to Q_TRIAL_BOUND; a q up to Q_TRIAL_BOUND^2 with no
+    factor there is prime, and a larger one is refused."""
+    if q < 2:
+        return WeilContext(q, 1)  # rejects it with a message
+    p = next((k for k in range(2, min(math.isqrt(q), Q_TRIAL_BOUND) + 1) if q % k == 0), q)
+    if p == q and q > Q_TRIAL_BOUND ** 2:
+        raise ValueError(f"q = {q} has no prime factor up to 2^20, and a q above 2^40 needs one")
+    a = 0
+    while q % p ** (a + 1) == 0:
+        a += 1
+    if p ** a != q:
         raise ValueError(f"q must be a prime power, got {q}")
-    ((p, a),) = factors.items()
     return WeilContext(p, a)
 
 

@@ -49,16 +49,19 @@ fallbacks.
 The isogeny test looks for a root ratio alpha/beta that is a root of unity of
 order dividing SPORADIC_LCM = 2520, which every sporadic ratio order divides.
 A ratio has such an order exactly when alpha^2520 = beta^2520, that is, when
-the 2520-th extensions of the two Weil polynomials share a root.  Each
-extension is built mod p = PROFILE_PRIMES[0] by Newton inversion of
-p_2520, ..., p_2520d, which needs p > d.  These are entries 1..d of the
-profile's own row m = 2520, so each power sum is read once: the profile leaves
-those sums in _SCREEN_MEMO, and the baby-step/giant-step reader runs for the
-screen only on a factor the oracle skipped or read at another prime.  When two
-extensions share a root, their exact gcd is monic of positive degree and stays
-so mod p, so a constant gcd mod p proves the pair not isogenous.  Every other
-pair gets the exact test over the divisors dd of 2520, which folds T(q x) mod
-x^dd - 1 before dividing by Phi_dd, which divides x^dd - 1.
+the 2520-th extensions of the two Weil polynomials share a root.  The screen
+reads each extension mod p = PROFILE_PRIMES[0] as the connection polynomial
+that Berlekamp-Massey ends with on the profile's row m = 2520, which is
+c prod (1 - g x) over the distinct roots g of the extension mod p, every g a
+unit as w(0) = +-2^(d/2) and p is odd.  The profile leaves that polynomial in
+_SCREEN_MEMO, so each power sum is read once; the row runs for the screen
+alone only on a factor the oracle skipped or read at another prime.  The gcd
+degree of two such polynomials mod p counts the common roots of the two
+extensions mod p.  An exact common root divides 2^2520, so it is a unit at p
+and survives reduction, and a constant gcd mod p proves the pair not
+isogenous.  Every other pair gets the exact test over the divisors dd of
+2520, which folds T(q x) mod x^dd - 1 before dividing by Phi_dd, which
+divides x^dd - 1.
 
 The multiplicity at m is one formula, deg w / (e_m * deg rad ext_m(w)), where
 e_m is the Honda-Tate exponent of the extended class: 2 whenever the extended
@@ -69,14 +72,13 @@ The degree-4 class with Weil polynomial (x^2-2)^2 is an instance: its exponent
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import divisors
+from .arith import divisors, is_power_of_two
 from .cyclo import cyclotomic_poly
 from .intpoly import IntPoly, from_power_sums, power_sums
 from .madanpal import build_record
@@ -184,28 +186,11 @@ def _power_sums_at(q0: IntPoly, idx, p: int) -> np.ndarray:
     return out.reshape(idx.shape)
 
 
-def _from_power_sums_mod_p(ps: list[int], p: int) -> tuple[int, ...]:
-    """Monic polynomial mod p, lowest coefficient first, whose roots have power
-    sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d.
-
-    Only the pair screen uses it.  The profile inverts nothing: it reads each
-    distinct-root count off the 2d power sums p_0, p_m, ..., p_(2d-1)m as a
-    linear complexity, equal to d - deg gcd(ext, ext') since every
-    multiplicity is a unit mod p > d."""
-    d = len(ps)
-    inv = [0, 1]  # inv[k] = 1/k mod p, each from the inverse of p mod k
-    for k in range(2, d + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
-    coeffs = [1] + [0] * d
-    for k in range(1, d + 1):
-        acc = ps[k - 1] + sum(map(operator.mul, coeffs[1:k], ps[k - 2::-1]))
-        coeffs[k] = (-acc * inv[k]) % p
-    return tuple(coeffs[::-1])
-
-
-def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
-    """Linear complexity of each row of seqs (int64 residues mod p), by an
-    inversion-free Berlekamp-Massey run on all rows at once.
+def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, length): the final connection polynomial of each row of seqs
+    (int64 residues mod p), lowest coefficient first and of degree at most
+    its length, and the row's linear complexity, by an inversion-free
+    Berlekamp-Massey run on all rows at once.
 
     Each step replaces the connection polynomial lam by
     gamma lam - delta x prev, a nonzero multiple of the textbook update
@@ -240,29 +225,28 @@ def _linear_complexities_mod_p(seqs: np.ndarray, p: int) -> np.ndarray:
         lam = new
     if (2 * length > count).any():
         raise ArithmeticError("linear complexity above half the sequence length")
-    return length[:, 0]
+    return lam, length[:, 0]
 
 
-# {(q, p): the pair screen's view of q mod p.  The profile's row m = SPORADIC_LCM
-# leaves q's power sums p_2520k (1 <= k <= d) here as int64; the first screen on
-# q replaces them by their Newton inversion, q's SPORADIC_LCM-th base extension
-# mod p as a tuple, lowest coefficient first.}
-_SCREEN_MEMO: dict[tuple[IntPoly, int], np.ndarray | tuple[int, ...]] = {}
+# {(q, p): the connection polynomial of q's profile row m = SPORADIC_LCM mod p,
+# lowest coefficient first, which the pair screen reads (_no_shared_root_mod_p)}
+_SCREEN_MEMO: dict[tuple[IntPoly, int], tuple[int, ...]] = {}
 
 
 def _radical_degree_profile(q0: IntPoly, m_set, p: int) -> dict[int, int]:
     """{m: degree of the squarefree part of the m-th base extension mod p}, as
     the linear complexity of p_0, p_m, ..., p_(2d-1)m of q0 mod p.
 
-    The row m = SPORADIC_LCM holds p_2520k for 1 <= k <= d, the sums the pair
-    screen inverts, so they are left in _SCREEN_MEMO."""
+    The connection polynomial of the row m = SPORADIC_LCM is left in
+    _SCREEN_MEMO for the pair screen."""
     m_set = list(m_set)
     d = q0.degree()
-    seqs = _power_sums_at(q0, np.outer(m_set, np.arange(2 * d)), p)
+    lam, length = _linear_complexities_mod_p(
+        _power_sums_at(q0, np.outer(m_set, np.arange(2 * d)), p), p)
     if SPORADIC_LCM in m_set:
-        # a copy, so the memo does not keep the whole grid alive
-        _SCREEN_MEMO.setdefault((q0, p), seqs[m_set.index(SPORADIC_LCM), 1:d + 1].copy())
-    return dict(zip(m_set, _linear_complexities_mod_p(seqs, p).tolist()))
+        row = m_set.index(SPORADIC_LCM)
+        _SCREEN_MEMO.setdefault((q0, p), tuple(lam[row, :length[row] + 1].tolist()))
+    return dict(zip(m_set, length.tolist()))
 
 
 # -- exact verification at a chosen extension degree ---------------------------
@@ -393,7 +377,7 @@ def f_from_formula(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n >= 2 and n & (n - 1) == 0:
+    if n >= 2 and is_power_of_two(n):
         return 2 if n == 4 else 1
     if n == 7:
         return 3
@@ -492,25 +476,24 @@ def _has_root_of_unity_ratio(q1: IntPoly, q2: IntPoly) -> bool:
     return any(_cyclotomic_divides(scaled, dd) for dd in _RATIO_ORDERS)
 
 
-def _extension_mod_p(q: IntPoly, p: int) -> tuple[int, ...]:
-    """The SPORADIC_LCM-th base extension of monic q mod p, lowest
-    coefficient first, by Newton inversion of p_2520k (1 <= k <= d) mod p.  The
-    profile has left those sums in _SCREEN_MEMO for every polynomial the oracle
-    read at p; only the others read them here.  The first call keeps the
-    inversion in their place."""
-    ext = _SCREEN_MEMO.get((q, p))
-    if not isinstance(ext, tuple):
-        if ext is None:
-            ext = _power_sums_at(q, SPORADIC_LCM * np.arange(1, q.degree() + 1), p)
-        ext = _SCREEN_MEMO[q, p] = _from_power_sums_mod_p(ext.tolist(), p)
-    return ext
-
-
 def _no_shared_root_mod_p(q1: IntPoly, q2: IntPoly, p: int) -> bool:
     """True only if no ratio alpha/beta (alpha of q1, beta of q2) has order
-    dividing SPORADIC_LCM = M: alpha^M = beta^M is a root shared by the M-th
-    extensions, and their exact gcd is monic, so it survives reduction mod p."""
-    return _gcd_degree_mod_p(_extension_mod_p(q1, p), _extension_mod_p(q2, p), p) == 0
+    dividing SPORADIC_LCM = M, that is, if the M-th extensions ext1, ext2
+    share no root; p must exceed both degrees.
+
+    Each qi is read as the connection polynomial lam_i of its profile row
+    s_k = p_Mk(qi) mod p, k < 2d: for a factor the oracle skipped or read at
+    another prime, that row alone is run here.  Over F_p-bar,
+    s_k = sum mu_g g^k over the distinct roots g of ext_i mod p, every mu_g is
+    at most d < p, so a unit, and every g is a unit, as qi(0) = +-2^(d/2) and p
+    is odd.  So lam_i = c prod (1 - g x) with c != 0, and deg gcd(lam1, lam2)
+    counts the common roots of ext1 and ext2 mod p.  One-sided: an exact
+    common root alpha^M = beta^M divides 2^M, so it is a unit at p and reduces
+    to a common root mod p, and a gcd of degree 0 rules the pair out."""
+    for q in (q1, q2):
+        if (q, p) not in _SCREEN_MEMO:
+            _radical_degree_profile(q, [SPORADIC_LCM], p)
+    return _gcd_degree_mod_p(_SCREEN_MEMO[q1, p], _SCREEN_MEMO[q2, p], p) == 0
 
 
 def geom_isogenous(n1: int, n2: int) -> bool:

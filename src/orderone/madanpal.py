@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import euler_phi
+from .arith import euler_phi, is_power_of_two
 from .cyclo import cyclotomic_poly
 from .intpoly import IntPoly, dehomogenize, homogenize
 from .weil import (
@@ -120,10 +120,6 @@ def pn_at_one_check(m: int) -> bool:
     return madan_pal_poly(n).eval(1) == (-1) ** (n // 4) * 2
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 def is_eisenstein_at(f: IntPoly, p: int) -> bool:
     return (
         f.is_monic()
@@ -137,7 +133,7 @@ def newton_lemma_check(n: int) -> bool:
     all slopes are 1/2^m or 1 - 1/2^m with m = max(1, log2(n) - 1); for
     n = 2^m with m >= 2 the shifted polynomial is also Eisenstein at 2."""
     rec = build_record(n)
-    if not _is_power_of_two(n):
+    if not is_power_of_two(n):
         return rec.ordinary
     m = max(1, n.bit_length() - 2)
     from fractions import Fraction

@@ -394,20 +394,15 @@ def _eta3_columns(c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _lower_residues(a: int) -> tuple[int, ...]:
-    """The k1 of eta1 = e^(2 pi i k1 / a) in the lower half of its inversion
-    orbit: a prefix of the primitive residues, which ascend."""
-    return tuple(k for k in _primitive_residues(a) if 2 * k <= a)
-
-
-@lru_cache(maxsize=1024)
 def _order_pair_rows(a: int, b: int) -> np.ndarray:
     """Prefilter rows for eta1 of order a in the lower half of its inversion
-    orbit against eta2 of order b, row-major over (_lower_residues(a),
-    _primitive_residues(b))."""
+    orbit against eta2 of order b, row-major over the first
+    (phi(a) + 1) // 2 primitive residues k1 of a, those with 2 k1 <= a (the
+    count _grid_ends states), and the primitive residues of b."""
     # conj(x) + conj(y) and conj(x) conj(y) are conj(P) and conj(Q) exactly,
     # and a complex array viewed as floats is (Re, Im) pairs, so conj gives (Re, -Im)
-    x = _unit_roots(a)[: len(_lower_residues(a)), None].conj()
+    x = _unit_roots(a)
+    x = x[: (len(x) + 1) // 2, None].conj()
     y = _unit_roots(b).conj()
     rows = np.empty((len(x), len(y), 5))
     rows[:, :, 0:2] = (x + y)[..., None].view(float)

@@ -49,7 +49,7 @@ class NewtonPolygon:
 
     def is_ordinary(self) -> bool:
         """Every slope is 0 or 1."""
-        return all(s in (0, 1) for s in self.slopes())
+        return all(s in (0, 1) for s, _ in self.segments)
 
 
 def _valuation(c: int, p: int) -> int:

@@ -1,7 +1,9 @@
 """Exact polynomial routines that only the tests use, as independent routes
 for cross-checks: the subresultant resultant, Newton interpolation over Z,
-the square root of a monic square, the one-shot base extension, and
-homogenize and compose by whole `IntPoly` products."""
+the square root of a monic square, the one-shot base extension,
+homogenize and compose by whole `IntPoly` products, and Newton inversion of
+power sums mod p."""
+import operator
 from fractions import Fraction
 
 from orderone.intpoly import IntPoly, from_power_sums, power_sums, prem
@@ -129,3 +131,17 @@ def compose_by_products(f: IntPoly, inner: IntPoly) -> IntPoly:
     for c in reversed(f.coeffs):
         acc = acc * inner + IntPoly([c])
     return acc
+
+
+def from_power_sums_mod_p(ps: list[int], p: int) -> tuple[int, ...]:
+    """Monic polynomial mod p, lowest coefficient first, whose roots have power
+    sums ps[0..d-1] (d = len(ps)): Newton inversion, which needs p > d."""
+    d = len(ps)
+    inv = [0, 1]  # inv[k] = 1/k mod p, each from the inverse of p mod k
+    for k in range(2, d + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    coeffs = [1] + [0] * d
+    for k in range(1, d + 1):
+        acc = ps[k - 1] + sum(map(operator.mul, coeffs[1:k], ps[k - 2::-1]))
+        coeffs[k] = (-acc * inv[k]) % p
+    return tuple(coeffs[::-1])

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -377,16 +378,25 @@ NOT_A_CONTEXT = "error: need a prime p and exponent a >= 1\n"
     "q, status, stderr",
     [(-4, 2, NOT_A_CONTEXT), (0, 2, NOT_A_CONTEXT), (1, 2, NOT_A_CONTEXT)]
     + [(q, 2, f"error: q must be a prime power, got {q}\n") for q in (6, 12)]
-    + [(q, 0, "") for q in (2, 4, 8, 9)],
+    + [(q, 0, "") for q in (2, 4, 8, 9)]
+    + [(q, 2, f"error: q = {q} has no prime factor up to 2^20, and a q above 2^40 needs one\n")
+       for q in (2 ** 61 - 1, (2 ** 31 - 1) ** 2)]
+    + [(2 ** 100, 0, "")],
 )
 def test_cli_weil_field_size(tmp_path, q, status, stderr):
-    """q must be a prime power: every other q exits 2 with an error line naming the cause."""
+    """q must be a prime power: every other q exits 2 with an error line
+    naming the cause.  Trial division stops at 2^20, so a large prime or
+    prime power answers within a second."""
     poly = tmp_path / "p.json"
     poly.write_text("[2,-2,1]")
-    res = run_cli(["weil", "--q", str(q), "--poly", str(poly), "--newton"], tmp_path)
+    args = ["weil", "--q", str(q), "--poly", str(poly), "--newton"]
+    res = run_cli(args, tmp_path)
     assert (res.returncode, res.stderr) == (status, stderr)
     if status == 0:
         assert json.loads(res.stdout)["q"] == q
+    start = time.perf_counter()
+    assert main_in_process(args, tmp_path)[0] == status
+    assert time.perf_counter() - start < 1
 
 
 def test_cli_deterministic_output_across_workers(tmp_path):

@@ -19,6 +19,7 @@ from orderone.geometry import (
 from orderone.intpoly import IntPoly, radical
 from orderone.madanpal import build_record
 from orderone.weil import base_extension, real_to_weil, F2
+from polyroutes import from_power_sums_mod_p
 
 
 def test_formula_case_split():
@@ -290,13 +291,13 @@ def power_sum_table(q0, count, p):
 def newton_gcd_profile(q0, m_set, p):
     """Radical-degree profile by the per-m route: Newton inversion of
     p_m, ..., p_dm mod p to the m-th extension, then d - deg gcd(ext, ext')."""
-    from orderone.geometry import _from_power_sums_mod_p, _gcd_degree_mod_p
+    from orderone.geometry import _gcd_degree_mod_p
 
     d = q0.degree()
     table = power_sum_table(q0, d * max(m_set), p)
     out = {}
     for m in m_set:
-        ext = _from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
+        ext = from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
         der = [(i * c) % p for i, c in enumerate(ext)][1:]
         out[m] = d - max(_gcd_degree_mod_p(ext, der, p), 0)
     return out
@@ -344,11 +345,23 @@ def _power_sum_sequence(nodes, mults, count, p):
     return out
 
 
+def _is_connection_polynomial(lam, length, seq, p):
+    """lam (lowest coefficient first) has a unit constant term and degree at
+    most length, and generates seq: sum_i lam_i s_(k-i) = 0 mod p for
+    length <= k < len(seq)."""
+    lam = [int(c) for c in lam]
+    if lam[0] % p == 0 or any(lam[length + 1:]):
+        return False
+    return all(sum(lam[i] * seq[k - i] for i in range(length + 1)) % p == 0
+               for k in range(length, len(seq)))
+
+
 def test_linear_complexity_kernel_matches_hankel_rank():
     """One batch mixing rows of different complexity: the all-zero row, a node
     0, multiplicities up to d, a row of complexity exactly count / 2, a row at
     count / 2 - 1, and rows whose first terms vanish, so that the complexity
-    jumps by more than one; nothing can leak across rows."""
+    jumps by more than one; nothing can leak across rows.  Each row's
+    connection polynomial generates the row."""
     import numpy as np
 
     from orderone.geometry import PROFILE_PRIMES, _linear_complexities_mod_p
@@ -374,10 +387,13 @@ def test_linear_complexity_kernel_matches_hankel_rank():
     seqs = [_power_sum_sequence(nodes, mults, count, p) for nodes, mults in specs]
     want = [hankel_rank_mod_p(s, p) for s in seqs]
     assert want == [len(nodes) for nodes, _ in specs]
-    got = _linear_complexities_mod_p(np.array(seqs, dtype=np.int64), p)
+    lam, got = _linear_complexities_mod_p(np.array(seqs, dtype=np.int64), p)
     assert got.tolist() == want
-    for s, w in zip(seqs, want):
-        assert _linear_complexities_mod_p(np.array([s], dtype=np.int64), p).tolist() == [w]
+    assert lam.shape == (len(seqs), d + 1)
+    for s, w, row in zip(seqs, want, lam):
+        assert _is_connection_polynomial(row, w, s, p)
+        one_lam, one = _linear_complexities_mod_p(np.array([s], dtype=np.int64), p)
+        assert one.tolist() == [w] and one_lam.tolist() == [row.tolist()]
 
 
 @pytest.mark.parametrize("p", [33554393, 3037000493])
@@ -397,8 +413,9 @@ def test_linear_complexity_kernel_does_not_wrap(p):
         (rng.sample(range(p - 10 ** 7, p), d - 37), [rng.randint(1, d) for _ in range(d - 37)]),
     ]
     seqs = [_power_sum_sequence(nodes, mults, 2 * d, p) for nodes, mults in specs]
-    got = _linear_complexities_mod_p(np.array(seqs, dtype=np.int64), p)
+    lam, got = _linear_complexities_mod_p(np.array(seqs, dtype=np.int64), p)
     assert got.tolist() == [hankel_rank_mod_p(s, p) for s in seqs] == [d, d - 37]
+    assert all(_is_connection_polynomial(*args, p) for args in zip(lam, got.tolist(), seqs))
 
 
 def test_power_sum_table_matches_exact_power_sums():
@@ -670,22 +687,78 @@ def test_power_sums_at_gathers_in_blocks(monkeypatch, n, chunk):
 
 
 def _screen_extension_by_reader(q, p):
-    """The pair screen's extension of q mod p from its own read of p_2520k."""
+    """The 2520-th extension of q mod p, lowest coefficient first, by Newton
+    inversion of p_2520k (1 <= k <= d) from the sparse reader."""
     import numpy as np
 
-    from orderone.geometry import SPORADIC_LCM, _from_power_sums_mod_p, _power_sums_at
+    from orderone.geometry import SPORADIC_LCM, _power_sums_at
 
     ps = _power_sums_at(q, SPORADIC_LCM * np.arange(1, q.degree() + 1), p)
-    return _from_power_sums_mod_p(ps.tolist(), p)
+    return from_power_sums_mod_p(ps.tolist(), p)
+
+
+def _monic_mod_p(v, p):
+    """Nonzero coefficient list v mod p, trimmed and made monic."""
+    v = [c % p for c in v]
+    while not v[-1]:
+        v.pop()
+    inv = pow(v[-1], -1, p)
+    return [c * inv % p for c in v]
+
+
+def _divmod_mod_p(a, b, p):
+    """(quotient, remainder) of a by monic b over F_p, lowest coefficient first."""
+    r = [c % p for c in a]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + len(b) - 1]
+        for j, y in enumerate(b):
+            r[i + j] = (r[i + j] - c * y) % p
+    r = r[:len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _squarefree_part_mod_p(ext, p):
+    """ext / gcd(ext, ext') over F_p, monic, for monic ext of degree below p."""
+    a, b = list(ext), _monic_mod_p([i * c for i, c in enumerate(ext)][1:], p)
+    while b:
+        a, b = b, _divmod_mod_p(a, b, p)[1]
+        b = _monic_mod_p(b, p) if b else b
+    return _divmod_mod_p(ext, a, p)[0]
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)))
+def test_connection_polynomial_is_the_extension_radical(n):
+    """On each profile row, over the dense table, of every factor's Weil
+    polynomial as the screen reads it, the reversed connection polynomial is
+    proportional to ext / gcd(ext, ext') mod p, ext the m-th extension mod p
+    by Newton inversion: for every m in default_m_set(n), at every profile
+    prime."""
+    import numpy as np
+
+    from orderone.geometry import PROFILE_PRIMES, _linear_complexities_mod_p
+
+    ms = default_m_set(n)
+    for weil in dict.fromkeys(rep.weil for rep in build_reports(n)):
+        d = weil.degree()
+        for p in PROFILE_PRIMES:
+            table = power_sum_table(weil, (2 * d - 1) * max(ms), p)
+            lam, length = _linear_complexities_mod_p(table[np.outer(ms, np.arange(2 * d))], p)
+            for m, row, r in zip(ms, lam.tolist(), length.tolist()):
+                ext = from_power_sums_mod_p(table[m:m * d + 1:m].tolist(), p)
+                assert _monic_mod_p(row[:r + 1][::-1], p) == _squarefree_part_mod_p(ext, p), (n, m, p)
 
 
 @pytest.mark.parametrize("n", list(range(1, 65)))
 def test_profile_row_gives_the_screen_extension(monkeypatch, n):
     """For every factor the oracle reads, the profile at PROFILE_PRIMES[0]
-    leaves the sums p_2520k, and the screen inverts them to the 2520-th
-    extension mod p that its own reader and Newton inversion give, without
-    reading again."""
-    from orderone.geometry import PROFILE_PRIMES, _extension_mod_p, _radical_degree_profile
+    leaves a tuple in _SCREEN_MEMO, the connection polynomial of its row
+    m = 2520, whose reversal is the squarefree part of the 2520-th extension
+    mod p that the reader and Newton inversion give; the screen reads it
+    without reading again."""
+    from orderone.geometry import PROFILE_PRIMES, _no_shared_root_mod_p, _radical_degree_profile
     from orderone.weil import np_forces_geom_simple, newton_polygon
 
     p = PROFILE_PRIMES[0]
@@ -694,26 +767,47 @@ def test_profile_row_gives_the_screen_extension(monkeypatch, n):
     for rep in build_reports(n):
         if np_forces_geom_simple(newton_polygon(rep.weil, F2)):
             continue  # the oracle does not run on this factor
-        want = _screen_extension_by_reader(rep.weil, p)
+        want = _squarefree_part_mod_p(_screen_extension_by_reader(rep.weil, p), p)
         _radical_degree_profile(rep.weil, ms, p)
+        lam = geometry._SCREEN_MEMO[rep.weil, p]
+        assert type(lam) is tuple and all(type(c) is int for c in lam)
+        assert _monic_mod_p(lam[::-1], p) == want, n
         with monkeypatch.context() as m:
             m.setattr(geometry, "_power_sums_at", lambda *a: pytest.fail("the screen read again"))
-            assert _extension_mod_p(rep.weil, p) == want, n
+            assert not _no_shared_root_mod_p(rep.weil, rep.weil, p)
+
+
+def test_pair_screen_matches_the_inversion_route():
+    """On every prefiltered factor pair with n <= 32, the screen's verdict
+    equals a constant gcd of the two 2520-th extensions mod p by Newton
+    inversion."""
+    from orderone.geometry import PROFILE_PRIMES, _gcd_degree_mod_p, _no_shared_root_mod_p
+
+    p, exts, pairs = PROFILE_PRIMES[0], {}, 0
+    for n1, n2, w1, w2 in _prefiltered_factor_pairs(32):
+        for w in (w1, w2):
+            if w not in exts:
+                exts[w] = _screen_extension_by_reader(w, p)
+        want = _gcd_degree_mod_p(exts[w1], exts[w2], p) == 0
+        assert _no_shared_root_mod_p(w1, w2, p) == want, (n1, n2)
+        pairs += 1
+    assert pairs == 57
 
 
 def test_decompose_pass_reads_each_power_sum_once(monkeypatch):
     """From cold geometry caches, the reports for n <= 32 and the pair table
-    for n <= 30 call the reader once per profile (a 2-D grid, 31 factors) and,
-    for the screen (1-D), only on the factors the oracle skipped that pass the
-    dimension prefilter: those of n = 8 and n = 16."""
+    for n <= 30 call the reader once per factor: once per profile (31
+    factors), and for the screen, as the one row m = 2520 of shape (1, 2d),
+    only on the factors the oracle skipped that pass the dimension prefilter:
+    those of n = 8 and n = 16.  Every screen memo entry is a tuple."""
     from collections import Counter
 
     import numpy as np
 
-    calls, real = Counter(), geometry._power_sums_at
+    reads, real = [], geometry._power_sums_at
 
     def counting(q, idx, p):
-        calls[np.ndim(idx)] += 1
+        reads.append((q, np.shape(idx)))
         return real(q, idx, p)
 
     monkeypatch.setattr(geometry, "_power_sums_at", counting)
@@ -721,7 +815,10 @@ def test_decompose_pass_reads_each_power_sum_once(monkeypatch):
     for n in range(1, 33):
         build_reports(n)
     assert geometric_isogeny_pairs(30) == set(EXPECTED_GEOM_PAIRS)
-    assert calls == {2: 31, 1: 2}
+    assert len(reads) == 33 and set(Counter(q for q, _ in reads).values()) == {1}
+    screen_only = {q for q, shape in reads if shape == (1, 2 * q.degree())}
+    assert screen_only == {rep.weil for n in (8, 16) for rep in build_reports(n)}
+    assert all(type(v) is tuple for v in geometry._SCREEN_MEMO.values())
 
 
 def test_exact_drop_at_full_radical_degree_needs_no_radical(monkeypatch):
