@@ -33,9 +33,12 @@ gamma lam - delta x prev is one difference of two products of residues, each
 below (p-1)^2 < 2^63, reduced once; its discrepancy reduces every product mod p
 before summing, so nothing wraps there either.
 Reduction mod p can merge roots but never split them, so the modular radical
-degree r is at most the exact one and bounds the drop from above; exact
-radicals at the candidate maxima pin the result.  There the extension ext is
-built over Z by weil.base_extension.  Since w satisfies the Weil functional
+degree r is at most the exact one, and the multiplicity at m is at most
+F(r), the largest d / (e s) over the divisors s >= r of d (e = 2 at s = 1,
+else 1).  One ascending scan over m runs the exact step only where F(r)
+beats the best multiplicity so far, so the first m to reach the final one is
+the smallest attaining m.  An exact step builds the extension ext over Z
+by weil.base_extension.  Since w satisfies the Weil functional
 equation x^d w(q/x) = a_0 w(x), a_0 = +-q^(d/2), which base_extension detects
 from the coefficients, each prime step p reads (d/2) p power sums, not d p,
 and fills in the lower half of the coefficients from the upper half.  When r
@@ -324,18 +327,19 @@ def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
     """Geometric multiplicity from radical degrees: (f, smallest attaining m).
 
     weil is the Weil polynomial of a simple class, a power of an irreducible,
-    squarefree or not.  The profile over m_set is bounded above modulo one
-    prime (the next only if it degenerates) and pinned by exact verification
-    at the candidate maxima, so the result is exact while large extension
-    degrees are never expanded over Z.
+    squarefree or not.  The profile over m_set and m = 1 is bounded above
+    modulo one prime (the next only if it degenerates), and one ascending
+    scan over those m runs the exact step only where the divisor bound of
+    the modular radical degree can beat the best multiplicity so far, so
+    the result is exact while only those extensions are expanded over Z.
     """
-    m_set = sorted(set(m_set))
+    # m = 1 too: a real radical or a non-squarefree weil may act already
+    m_set = sorted(set(m_set) | {1})
     d = weil.degree()
 
     for p in PROFILE_PRIMES:
         # only a degenerate prime moves on: p <= d, or a radical degree of 0
-        # m = 1 too: the baseline's exact step needs its modular radical degree
-        profile = _radical_degree_profile(weil, sorted(set(m_set) | {1}), p) if p > d else {}
+        profile = _radical_degree_profile(weil, m_set, p) if p > d else {}
         if profile and min(profile.values()) > 0:
             break
     else:
@@ -345,26 +349,19 @@ def f_oracle(weil: IntPoly, m_set) -> tuple[int, int]:
     # linear radical is real) and e_m >= 1 otherwise.  So bound[r], the
     # largest d / (e_s s) over the divisors s >= r of d (e_1 = 2, else 1),
     # floored as multiplicities are integers, bounds the multiplicity at every
-    # m with profile[m] = r.  Fewer divisors qualify as r grows, so it never
-    # grows with r: the smallest radical degrees come first and the scan stops
-    # at the first bound that cannot beat best_f.
+    # m with profile[m] = r, and an m whose bound cannot beat best_f is
+    # skipped.  The scan runs up m and keeps only a strictly larger
+    # multiplicity, so the first m that reaches the final f is the smallest
+    # attaining m: no m before it reached f, so its bound was above best_f.
     bound = {r: max(d // (2 * s if s == 1 else s) for s in divisors(d) if s >= r)
              for r in set(profile.values())}
-    # baseline at m = 1: a real radical or a non-squarefree weil may act already
-    best_f, best_m = _exact_f(weil, 1, profile[1]), 1
-    for m in sorted(m_set, key=lambda m: (profile[m], m)):
+    best_f = best_m = 0
+    for m in m_set:
         if bound[profile[m]] <= best_f:
-            break
+            continue
         fm = _exact_f(weil, m, profile[m])
         if fm > best_f:
             best_f, best_m = fm, m
-    # smallest attaining m: check candidates below the current witness
-    for m in m_set:
-        if m >= best_m:
-            break
-        if bound[profile[m]] >= best_f and _exact_f(weil, m, profile[m]) == best_f:
-            best_m = m
-            break
     return best_f, best_m
 
 

@@ -328,21 +328,18 @@ def prem(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(r)
 
 
-def _strip_content(f: IntPoly) -> IntPoly:
-    """Divide by the positive gcd of the coefficients, keeping the sign."""
-    c = math.gcd(*f.coeffs)
-    return IntPoly(a // c for a in f.coeffs) if c > 1 else f
-
-
 def sturm_sequence(f: IntPoly) -> list[IntPoly]:
     """Sturm chain f, f', -rem(f, f'), ... down to a constant or gcd(f, f').
 
-    Each term is the negated pseudo-remainder of the two before it, divided by
-    its content with the sign that makes it a positive multiple of the true
-    negated remainder, so sign variations count distinct real roots exactly.
-    The last term is gcd(f, f') up to a constant factor.
+    f and f' are made primitive with a positive leading coefficient; when
+    lc(f) < 0 that negates both, and so every later term, which changes
+    neither the sign variations nor the gcd.
+    Each later term is the negated pseudo-remainder of the two before it,
+    divided by its content with the sign that makes it a positive multiple of
+    the true negated remainder, so sign variations count distinct real roots
+    exactly.  The last term is gcd(f, f') up to a constant factor.
     """
-    seq = [_strip_content(f), _strip_content(f.derivative())]
+    seq = [f.primitive(), f.derivative().primitive()]
     while seq[-1].degree() > 0:
         a, b = seq[-2], seq[-1]
         r = prem(a, b)

@@ -94,17 +94,13 @@ class Relation:
     def rotate(self, zeta: RootOfUnity) -> "Relation":
         return Relation.from_values([v * zeta for v in self.values()])
 
+    def _rotations(self):
+        """The rotation taking each entry's value to +1, in entry order."""
+        return (self.rotate(v.inverse()) for v in self.values())
+
     def canonical(self) -> "Relation":
         """Lexicographically minimal rotation; always contains the entry +1."""
-        if not self.entries:
-            return self
-        best = None
-        for v in self.values():
-            cand = self.rotate(v.inverse())
-            key = tuple(_entry_key(e) for e in cand.entries)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return best[1]
+        return min(self._rotations(), key=lambda rot: tuple(map(_entry_key, rot.entries)), default=self)
 
     def level(self) -> int:
         """Odd part of the lcm of element orders, minimized over rotations.
@@ -112,16 +108,8 @@ class Relation:
         Surrogate conductor for mod-2 relations: tested properties are that it
         is odd and squarefree on every classified input.
         """
-        if not self.entries:
-            return 1
-        best = None
-        for v in self.values():
-            rot = self.rotate(v.inverse())
-            m = math.lcm(*(w.den for w in rot.values()))
-            while m % 2 == 0:
-                m //= 2
-            best = m if best is None else min(best, m)
-        return best
+        lcms = (math.lcm(*(w.den for w in rot.values())) for rot in self._rotations())
+        return min((m // (m & -m) for m in lcms), default=1)
 
     def union(self, other: "Relation") -> "Relation":
         return Relation.make(list(self.entries) + list(other.entries))
@@ -277,18 +265,12 @@ def _gf2_kernel(masks: list[int]) -> list[int]:
 
 
 def _find_even_subset(masks: list[int]) -> int | None:
-    """Selector of a proper nonempty subset with even sum (mod-2 vanishing), or None."""
-    w = len(masks)
-    full = (1 << w) - 1
-    kernel = _gf2_kernel(masks)
-    for v in kernel:
-        if v not in (0, full):
-            return v
-    if len(kernel) >= 2:
-        v = kernel[0] ^ kernel[1]
-        if v not in (0, full):
-            return v
-    return None
+    """Selector of a proper nonempty subset with even sum (mod-2 vanishing), or None.
+
+    Kernel vectors are nonzero and independent, so at most one is the full
+    mask, and any second one is a proper subset."""
+    full = (1 << len(masks)) - 1
+    return next((v for v in _gf2_kernel(masks) if v != full), None)
 
 
 MAX_SUBSET_SEARCH_WEIGHT = 24

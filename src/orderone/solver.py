@@ -146,19 +146,23 @@ def apply_symmetry(k: int, obj):
         return obj.substitute(images)
     if isinstance(obj, SolutionTriple):
         m, ks = _exponents(obj)
-        return SolutionTriple(*(RootOfUnity.make(e, m) for e in _act(k, m, *ks)))
+        return SolutionTriple(*(RootOfUnity.make(e, m) for e in _image(images, m, ks)))
     raise TypeError(f"cannot apply symmetry to {type(obj)!r}")
 
 
-def _act(k: int, m, *ks) -> tuple:
-    """The k-th generator on the point (e^(2 pi i k_j / m))_j, m even, as
-    exponents over m: a sign -1 is e^(2 pi i (m/2) / m).  On integer arrays
-    m, k1, k2, k3 it acts on every point at once."""
-    images = []
-    for sign, expo in GENERATORS[k]:
-        image = sum(e * x for e, x in zip(expo, ks) if e)
-        images.append((image + m // 2 if sign < 0 else image) % m)
-    return tuple(images)
+def _image(images, m, ks) -> tuple:
+    """The signed-monomial map z_j -> images[j], written as GENERATORS are, on
+    the point (e^(2 pi i k_j / m))_j, m even, as exponents over m: a sign -1
+    is e^(2 pi i (m/2) / m).  On integer arrays m and ks = (k1, k2, k3) it
+    acts on every point at once."""
+    return tuple(sum((e * x for e, x in zip(expo, ks) if e), m // 2 if sign < 0 else 0) % m
+                 for sign, expo in images)
+
+
+def _monomials(phi) -> tuple:
+    """The family map phi = ((s_j, e_j))_j as the signed-monomial map
+    z_j -> s_j z1^(e_j), written as GENERATORS are."""
+    return tuple((s, (e, 0, 0)) for s, e in phi)
 
 
 def candidate_h_set() -> list[LaurentExpr]:
@@ -502,7 +506,7 @@ def _family_certificate() -> None:
     family needs no test of its own.  Raises ArithmeticError otherwise."""
     g = g_expr()
     for phi in _family_maps():
-        if not g.substitute(tuple((s, (e, 0, 0)) for s, e in phi)).is_zero():
+        if not g.substitute(_monomials(phi)).is_zero():
             raise ArithmeticError(f"g does not vanish identically on the family map {phi}")
 
 
@@ -564,8 +568,8 @@ def _solutions(max_order_12: int, max_order_3: int, max_level: int, workers: int
     tasks = _order_pair_tasks(max_order_12, max_order_3, max_level)
     m, ks, family = _confirmed(_candidates(tasks, workers))
     point = tuple(ks.T)
-    swapped = _act(1, m, *point)
-    images = (point, _act(0, m, *point), swapped, _act(0, m, *swapped))
+    swapped = _image(GENERATORS[1], m, point)
+    images = (point, _image(GENERATORS[0], m, point), swapped, _image(GENERATORS[0], m, swapped))
     keys = _root_keys(np.tile(m, 4), np.concatenate([np.stack(img, axis=1) for img in images]))
     distinct = _sorted_distinct(keys)
     return keys[distinct], np.tile(family, 4)[distinct]
@@ -615,15 +619,10 @@ def _family_maps() -> tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, i
     (1/zeta, zeta, 1)."""
     seen = [((1, 1), (1, 1), (-1, 1))]
     for phi in seen:  # grows while it is walked: a breadth-first orbit walk
-        signs, expos = zip(*phi)
         for gen in GENERATORS:
-            img = tuple(
-                (
-                    sign * math.prod(s for s, e in zip(signs, expo) if e % 2),
-                    sum(x * e for x, e in zip(expos, expo)),
-                )
-                for sign, expo in gen
-            )
+            # gen o phi: each coordinate of gen with phi substituted is one signed monomial in zeta
+            terms = [LaurentExpr.make([image]).substitute(_monomials(phi)).terms[0] for image in gen]
+            img = tuple((c, e[0]) for e, c in terms)
             if img not in seen:
                 seen.append(img)
     if not all(abs(phi[0][1]) == 1 for phi in seen):
@@ -634,14 +633,14 @@ def _family_maps() -> tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, i
 def _on_family(m, k1, k2, k3):
     """is_parametric of the point (m, (k1, k2, k3)), m even; on integer
     arrays m, k1, k2, k3, a boolean array with the verdict of every point."""
-    half = m // 2
     out = False
-    for (s1, e1), (s2, e2), (s3, e3) in _family_maps():
-        # k_j = (m/2 if s_j < 0) + e_j z (mod m), z the exponent of zeta over
-        # m; the first coordinate has e_1 = +-1, so it fixes z and holds
-        z = e1 * (k1 - half if s1 < 0 else k1)
-        k2_phi = (e2 * z + half if s2 < 0 else e2 * z) % m
-        k3_phi = (e3 * z + half if s3 < 0 else e3 * z) % m
+    for phi in _family_maps():
+        images = _monomials(phi)
+        # the point is phi(zeta) iff it is the image of z, the exponent of
+        # zeta over m.  The first coordinate zeta -> s_1 zeta^(e_1) has
+        # e_1 = +-1, so it is an involution: it maps k1 back to z, and holds
+        (z,) = _image(images[:1], m, (k1, 0, 0))
+        k2_phi, k3_phi = _image(images[1:], m, (z, 0, 0))
         out = out | ((k2 == k2_phi) & (k3 == k3_phi))
     return out
 
@@ -700,12 +699,6 @@ SPORADIC_ORDER_PATTERNS: tuple[SolutionPattern, ...] = (
 )
 
 
-def _family_point(phi_map, m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The exponent vectors over m of phi(zeta), zeta = e^(2 pi i z / m),
-    for one family map phi, as an (N, 3) array."""
-    return np.stack([(e * z + m // 2 if s < 0 else e * z) % m for s, e in phi_map], axis=1)
-
-
 def _family_keys(max_order_12: int, max_order_3: int, max_level: int) -> np.ndarray:
     """The root keys of expected_parametric, distinct and in ascending order.
 
@@ -719,11 +712,13 @@ def _family_keys(max_order_12: int, max_order_3: int, max_level: int) -> np.ndar
     per_residue = np.repeat(n, phi)
     keys = []
     for phi_map in _family_maps():
-        d1, _, d2, _, d3, _ = _root_keys(m[1:], _family_point(phi_map, m[1:], m[1:] // n[1:])).T
+        images = _monomials(phi_map)
+        d1, _, d2, _, d3, _ = _root_keys(m[1:], np.stack(_image(images, m[1:], (m[1:] // n[1:], 0, 0)), axis=1)).T
         inside = (np.maximum(d1, d2) <= max_order_12) & (d3 <= max_order_3) & (np.lcm(np.lcm(d1, d2), d3) <= max_level)
         kept = np.repeat(inside, phi[1:])
         m_kept = m[per_residue[kept]]
-        keys.append(_root_keys(m_kept, _family_point(phi_map, m_kept, flat[kept] * (m_kept // per_residue[kept]))))
+        z = flat[kept] * (m_kept // per_residue[kept])
+        keys.append(_root_keys(m_kept, np.stack(_image(images, m_kept, (z, 0, 0)), axis=1)))
     keys = np.concatenate(keys)
     return keys[_sorted_distinct(keys)]
 

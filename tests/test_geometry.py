@@ -845,8 +845,8 @@ def test_exact_drop_at_full_radical_degree_needs_no_radical(monkeypatch):
 
 def test_decompose_pass_exact_steps_are_pinned(monkeypatch):
     """From cold geometry caches, the reports for n <= 32 run 63 exact steps
-    under the divisor bound F(r) (137 under d / r): n = 1 runs 3 (38), n = 2
-    runs 1 (25) and n = 4 runs 3 (18)."""
+    in the ascending scan under the divisor bound F(r): n = 1 runs 2, n = 2
+    runs 1, n = 4 runs 2, n = 7 runs 4 and n = 30 runs 6."""
     from collections import Counter
 
     calls, real, current = Counter(), geometry._exact_f, [0]
@@ -861,9 +861,29 @@ def test_decompose_pass_exact_steps_are_pinned(monkeypatch):
         current[0] = n
         build_reports(n)
     want = {n: 2 for n in range(3, 33) if n not in (4, 8, 16, 32)}
-    want.update({1: 3, 2: 1, 4: 3, 7: 4, 30: 4})
+    want.update({1: 2, 2: 1, 4: 2, 7: 4, 30: 6})
     assert dict(calls) == want
     assert sum(calls.values()) == 63
+    _clear_geometry_caches()
+
+
+def test_oracle_runs_each_exact_step_once(monkeypatch):
+    """For n <= 64 no factor reaches the exact step twice at the same m: the
+    scan visits each m once, m = 1 included, and keeps no rescan."""
+    from collections import Counter
+
+    steps, real = Counter(), geometry._exact_f
+
+    def counting(weil, m, rdeg):
+        steps[weil, m] += 1
+        return real(weil, m, rdeg)
+
+    monkeypatch.setattr(geometry, "_exact_f", counting)
+    _clear_geometry_caches()
+    for n in range(1, 65):
+        build_reports(n)
+    assert sum(steps.values()) == 125
+    assert [key for key, count in steps.items() if count > 1] == []
     _clear_geometry_caches()
 
 

@@ -356,6 +356,36 @@ def test_parametric_verdict_is_constant_on_symmetry_images():
         assert is_parametric(apply_symmetry(2, t)) == verdict, t
 
 
+def test_solutions_are_closed_under_galois():
+    """Every zero of (32, 32, 120) maps to a zero of the same box under each
+    Galois automorphism z_j -> z_j^u, u a unit mod m = lcm(2, orders), run
+    through _image as the diagonal signed-monomial map: Galois conjugation
+    keeps the orders, and g has rational coefficients."""
+    sols = solve_bounded(32, 32, 120)
+    found = set(sols)
+    checked = 0
+    for t in sols:
+        m, ks = solver._exponents(t)
+        for u in range(1, m):
+            if math.gcd(u, m) == 1:
+                diagonal = tuple((1, tuple(u if i == j else 0 for i in range(3))) for j in range(3))
+                img = SolutionTriple(*(RootOfUnity.make(e, m) for e in solver._image(diagonal, m, ks)))
+                assert img in found, (t, u)
+                checked += 1
+    assert (len(sols), checked) == (765, 8591)
+
+
+def test_image_on_arrays_matches_apply_symmetry():
+    """_image of each generator on the exponent arrays of all zeros of
+    (32, 32, 120) at once gives apply_symmetry's triples, in order."""
+    sols = solve_bounded(32, 32, 120)
+    keys = np.array([(r.den, r.num) for t in sols for r in (t.eta1, t.eta2, t.eta3)]).reshape(-1, 6)
+    m, ks = solver._exponent_vectors(keys[:, 0::2], keys[:, 1::2])
+    for k, gen in enumerate(solver.GENERATORS):
+        images = np.stack(solver._image(gen, m, tuple(ks.T)), axis=1)
+        assert solver._from_keys(solver._root_keys(m, images)) == [apply_symmetry(k, t) for t in sols]
+
+
 # PREFILTER_ROWS = 3 and PREFILTER_BLOCK = 7 cut the stacked rows of one
 # eta3-order set into 3-row chunks, some starting inside one pair's rows, and
 # each chunk into blocks of at most 7 points, some starting inside one eta3

@@ -118,3 +118,26 @@ def test_every_codec_has_a_library_caller():
                     called.add(name)
     assert "encode_poly" in codecs and "decode_triple" in codecs
     assert sorted(codecs - called) == []
+
+
+def _functions(module: str) -> dict[str, ast.AST]:
+    """Every function and method of src/orderone/<module>.py, by name."""
+    tree = ast.parse((Path(orderone.__file__).parent / f"{module}.py").read_text())
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_implementation_per_exact_step():
+    """f_oracle scans the primes, then m, once; the solver's signed-monomial
+    action is _image alone; intpoly divides out content only through
+    IntPoly.primitive; Relation.canonical and Relation.level share one
+    rotation walk."""
+    oracle = _functions("geometry")["f_oracle"]
+    loops = [node for node in ast.walk(oracle) if isinstance(node, ast.For)]
+    assert [ast.unparse(loop.iter) for loop in loops] == ["PROFILE_PRIMES", "m_set"]
+    assert "_image" in _functions("solver")
+    assert {"_act", "_family_point"}.isdisjoint(_functions("solver"))
+    assert "_strip_content" not in _functions("intpoly")
+    relation = _functions("relations")
+    for name in ("canonical", "level"):
+        called = {getattr(call.func, "attr", None) for call in ast.walk(relation[name]) if isinstance(call, ast.Call)}
+        assert "rotate" not in called, name
