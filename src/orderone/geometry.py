@@ -410,12 +410,8 @@ def build_reports(n: int) -> tuple[DecompositionReport, ...]:
     splitting.  The same polygon decides whether the factor is ordinary.
     """
     rec = build_record(n)
-    seen = []
     out = []
-    for factor in rec.simple_factors:
-        if factor in seen:
-            continue
-        seen.append(factor)
+    for factor in dict.fromkeys(rec.simple_factors):
         if factor == rec.real_weil:
             weil, polygon = rec.weil, rec.newton
         else:

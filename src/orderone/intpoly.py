@@ -125,12 +125,9 @@ class IntPoly:
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def content(self) -> int:
-        """gcd of coefficients, sign chosen so content * primitive has the original lc sign."""
-        if self.is_zero():
-            return 0
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
+        """gcd of coefficients (0 for the zero polynomial), sign chosen so
+        content * primitive has the original lc sign."""
+        g = math.gcd(*self.coeffs)
         return g if self.lc() > 0 else -g
 
     def primitive(self) -> "IntPoly":

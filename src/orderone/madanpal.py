@@ -15,6 +15,7 @@ over any other field these polynomials do not give order 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,10 +60,7 @@ def simple_factor_list(n: int) -> list[IntPoly]:
     p = madan_pal_poly(n)
     if n in KNOWN_FACTORS:
         fs = KNOWN_FACTORS[n]
-        prod = IntPoly([1])
-        for f in fs:
-            prod = prod * f
-        if prod != p:
+        if math.prod(fs, start=IntPoly([1])) != p:
             raise ArithmeticError(f"pinned factor list for n={n} fails the product check")
         return list(fs)
     return [p]
@@ -91,10 +89,7 @@ def build_record(n: int) -> MadanPalRecord:
     real_weil = _real_weil_factor(p)
     weil = real_to_weil(real_weil, F2)
     factors = tuple(real_weil if f == p else _real_weil_factor(f) for f in simple_factor_list(n))
-    prod = IntPoly([1])
-    for f in factors:
-        prod = prod * f
-    if prod != real_weil:
+    if math.prod(factors, start=IntPoly([1])) != real_weil:
         raise ArithmeticError(f"n={n}: factor transform does not multiply back")
     if p.degree() != max(2, euler_phi(n)):
         raise ArithmeticError(f"n={n}: P_n has degree {p.degree()}")

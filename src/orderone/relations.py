@@ -278,13 +278,24 @@ MAX_LIFT_WEIGHT = 20
 MAX_PARTITION_WEIGHT = 18
 
 
+def _checked(r: Relation, search: str, cap: int | None, mod2: bool, kind: str = "a valid relation"):
+    """Values and power-basis vectors of r, the input of one search.
+
+    Raises CapacityError when r is over the search's cap (None: uncapped),
+    before it looks at the values, then ValueError unless the vectors vanish
+    (are even, if mod2)."""
+    if cap is not None and r.weight > cap:
+        raise CapacityError(f"{search} capped at weight {cap}")
+    values = r.values()
+    vecs = _vectors(values)
+    if not _vanishes(vecs, mod2):
+        raise ValueError(f"input is not {kind}")
+    return values, vecs
+
+
 def is_indecomposable(r: Relation, mod2: bool = False) -> bool:
     """No nonempty proper sub-multiset has vanishing (resp. even) sum."""
-    if r.weight > MAX_SUBSET_SEARCH_WEIGHT:
-        raise CapacityError(f"subset search capped at weight {MAX_SUBSET_SEARCH_WEIGHT}")
-    vecs = _vectors(r.values())
-    if not _vanishes(vecs, mod2):
-        raise ValueError("input is not a valid relation")
+    _, vecs = _checked(r, "subset search", MAX_SUBSET_SEARCH_WEIGHT, mod2)
     if r.weight == 0:
         return False
     if mod2:
@@ -337,7 +348,7 @@ def _vanishing_exponents(n: int, weight: int):
         keys = set.intersection(*map(set, tables.values()))
         if not keys:
             continue
-        for comp in _orderings(sizes):
+        for comp in dict.fromkeys(itertools.permutations(sizes)):
             for key in keys:
                 for choice in itertools.product(*(tables[k][key] for k in comp)):
                     # zeta_2m^a zeta_p^i = zeta_2n^(a p + 2 m i)
@@ -353,17 +364,6 @@ def _size_multisets(total: int, parts: int, largest: int):
     for first in range(min(total, largest), -(-total // parts) - 1, -1):
         for rest in _size_multisets(total - first, parts - 1, first):
             yield (first,) + rest
-
-
-def _orderings(sizes: tuple[int, ...]):
-    """The distinct orderings of a tuple."""
-    if not sizes:
-        yield ()
-        return
-    for k in dict.fromkeys(sizes):
-        i = sizes.index(k)
-        for rest in _orderings(sizes[:i] + sizes[i + 1:]):
-            yield (k,) + rest
 
 
 @lru_cache(maxsize=8)
@@ -401,9 +401,11 @@ def enumerate_indecomposable(max_weight: int) -> tuple[RelationClass, ...]:
 
 
 def _lifts(vecs):
-    """Sign vectors sigma (sigma_0 = +1) with vanishing signed sum, first hit first."""
-    for mask in _vanishing_masks(vecs[1:], (1, -1), offset=vecs[0]):
-        yield [1] + [-1 if (mask >> i) & 1 else 1 for i in range(len(vecs) - 1)]
+    """Sign vectors sigma (sigma_0 = +1) with vanishing signed sum, first hit
+    first; the empty relation's one lift is the empty sign vector.  Bit i of
+    a mask, so bit i + 1 of mask << 1, negates vector i + 1."""
+    for mask in _vanishing_masks(vecs[1:], (1, -1), offset=vecs[0] if vecs else None):
+        yield [-1 if (mask << 1) >> i & 1 else 1 for i in range(len(vecs))]
 
 
 def lift_mod2(r: Relation) -> Relation | None:
@@ -413,14 +415,7 @@ def lift_mod2(r: Relation) -> Relation | None:
     search space is the full 2^(weight-1) sign vectors with the global sign
     fixed, explored meet-in-the-middle.
     """
-    if r.weight > MAX_LIFT_WEIGHT:
-        raise CapacityError(f"lift search capped at weight {MAX_LIFT_WEIGHT}")
-    values = r.values()
-    vecs = _vectors(values)
-    if not _vanishes(vecs, mod2=True):
-        raise ValueError("input is not a mod-2 relation")
-    if r.weight == 0:
-        return r
+    values, vecs = _checked(r, "lift search", MAX_LIFT_WEIGHT, True, "a mod-2 relation")
     sigma = next(_lifts(vecs), None)
     if sigma is None:
         return None
@@ -429,13 +424,7 @@ def lift_mod2(r: Relation) -> Relation | None:
 
 def lift_is_unique(r: Relation) -> bool:
     """Exactly one lift up to multiplying all signs by -1."""
-    if r.weight > MAX_LIFT_WEIGHT:
-        raise CapacityError(f"lift search capped at weight {MAX_LIFT_WEIGHT}")
-    vecs = _vectors(r.values())
-    if not _vanishes(vecs, mod2=True):
-        raise ValueError("input is not a mod-2 relation")
-    if r.weight == 0:
-        return True
+    _, vecs = _checked(r, "lift search", MAX_LIFT_WEIGHT, True, "a mod-2 relation")
     return len(list(itertools.islice(_lifts(vecs), 2))) == 1
 
 
@@ -505,12 +494,8 @@ def conjugation_stable_partition(r: Relation, mod2: bool = False) -> list[Relati
     recursion is an index mask, and its candidates are the whole relation's
     vanishing masks inside it, in the same (size, mask) order.
     """
-    if not mod2 and r.weight > MAX_PARTITION_WEIGHT:
-        raise CapacityError(f"exact conjugation-stable partition capped at weight {MAX_PARTITION_WEIGHT}")
-    values = r.values()
-    vecs = _vectors(values)
-    if not _vanishes(vecs, mod2):
-        raise ValueError("input is not a valid relation")
+    cap = None if mod2 else MAX_PARTITION_WEIGHT
+    values, vecs = _checked(r, "exact conjugation-stable partition", cap, mod2)
     c = _conjugation_involution(values)
     if mod2:
         masks = [_bitmask(v) for v in vecs]

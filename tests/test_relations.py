@@ -494,6 +494,21 @@ def test_lift_capacity():
         lift_mod2(big)
 
 
+def test_lift_is_unique_checks_its_cap_first():
+    # 21 entries of mu_23 do not sum to an even vector, so the cap must fire first
+    with pytest.raises(CapacityError, match="capped at weight 20"):
+        lift_is_unique(Relation.from_values([r(k, 23) for k in range(21)]))
+
+
+def test_empty_relation_through_every_search():
+    empty = Relation.make([])
+    for mod2 in (False, True):
+        assert not is_indecomposable(empty, mod2=mod2)
+        assert conjugation_stable_partition(empty, mod2=mod2) == []
+    assert lift_mod2(empty) == empty
+    assert lift_is_unique(empty)
+
+
 def test_anti_equivariant_unique_lift_exists():
     """A self-conjugate indecomposable mod-2 relation whose unique lift gives
     conjugate elements opposite signs; lift-based conjugation-stable splitting

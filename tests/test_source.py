@@ -126,6 +126,21 @@ def _functions(module: str) -> dict[str, ast.AST]:
     return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
+def test_one_input_check_for_the_relation_searches():
+    """The public relation searches check their input through one entry, so
+    _vanishes has exactly one caller, and the distinct orderings of a size
+    tuple come from itertools, not from a relations helper."""
+    functions = _functions("relations")
+    callers = [
+        name
+        for name, node in functions.items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_vanishes"
+    ]
+    assert len(callers) == 1, callers
+    assert "_orderings" not in functions
+
+
 def test_one_implementation_per_exact_step():
     """f_oracle scans the primes, then m, once; the solver's signed-monomial
     action is _image alone; intpoly divides out content only through
