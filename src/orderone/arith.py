@@ -1,12 +1,23 @@
 """Elementary number theory on positive integers.
 
-Everything but is_power_of_two is derived from one trial-division
-factorization; the integers factored here (class indices, extension degrees,
-levels, the prime p of a field size q) are small.
+There is one trial division, least_prime_factor: factorize peels least prime
+factors off with it, and everything but is_power_of_two is derived from that.
+The integers factored here (class indices, extension degrees, levels, the
+prime p of a field size q) are small.
 """
 from __future__ import annotations
 
 import math
+
+
+def least_prime_factor(n: int, bound: int | None = None) -> int:
+    """The least prime factor of n >= 2, by trial division up to isqrt(n), or
+    only up to bound when one is given; n itself when no divisor is found."""
+    limit = math.isqrt(n) if bound is None else min(math.isqrt(n), bound)
+    for k in range(2, limit + 1):
+        if n % k == 0:
+            return k
+    return n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -14,14 +25,11 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"can only factorize a positive integer, not {n}")
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
+    while n > 1:
+        p = least_prime_factor(n)
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1
-    if n > 1:
-        out[n] = 1
     return out
 
 
@@ -44,4 +52,4 @@ def is_power_of_two(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """False for every n < 2."""
-    return n > 1 and factorize(n) == {n: 1}
+    return n > 1 and least_prime_factor(n) == n

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import lru_cache
 from pathlib import Path
 
 from . import geometry, madanpal, relations, serialize, solver
+from .arith import least_prime_factor
 from .intpoly import decimal_to_int
 from .weil import (
     WeilContext,
@@ -117,7 +117,7 @@ def _context_for_q(q: int) -> WeilContext:
     factor there is prime, and a larger one is refused."""
     if q < 2:
         return WeilContext(q, 1)  # rejects it with a message
-    p = next((k for k in range(2, min(math.isqrt(q), Q_TRIAL_BOUND) + 1) if q % k == 0), q)
+    p = least_prime_factor(q, Q_TRIAL_BOUND)
     if p == q and q > Q_TRIAL_BOUND ** 2:
         raise ValueError(f"q = {q} has no prime factor up to 2^20, and a q above 2^40 needs one")
     a = 0

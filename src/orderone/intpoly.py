@@ -4,6 +4,8 @@ Coefficients are stored lowest degree first, trailing zeros trimmed; the zero
 polynomial has an empty coefficient tuple and degree -1.  Everything here is
 pure and exact: no floats, no modular shortcuts unless explicitly asked for.
 
+There is one long division, `IntPoly.__divmod__`, and `prem` runs on it: the
+Euclidean remainder of a, scaled up front so every quotient coefficient is an integer.
 The one pseudo-remainder sequence is the signed, content-stripped Sturm chain:
 `radical` reads gcd(f, f') off its last term, and `weil.is_real_weil` counts
 real roots by its sign variations.
@@ -66,8 +68,6 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
         a, b = self.coeffs, _coerce(other).coeffs
         return IntPoly(_mul_coeffs(a, b) if len(a) >= len(b) else _mul_coeffs(b, a))
 
@@ -91,24 +91,20 @@ class IntPoly:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = [], list(self.coeffs)
+        r = list(self.coeffs)
         d, lead = other.degree(), other.lc()
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            c, rem = divmod(r[-1], lead)
+        # the divisor's nonzero terms below its lead; r[k + d] is read, never cleared
+        terms = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
+        q = [0] * (len(r) - d)
+        for k in range(len(r) - 1 - d, -1, -1):
+            c, rem = divmod(r[k + d], lead)
             if rem:
-                raise ValueError(f"inexact division: {r[-1]} not divisible by {lead}")
-            k = len(r) - 1 - d
-            q.append((k, c))
-            for j, b in enumerate(other.coeffs):
-                r[k + j] -= c * b
-        qc = [0] * (max((k for k, _ in q), default=-1) + 1)
-        for k, c in q:
-            qc[k] = c
-        return IntPoly(qc), IntPoly(r)
+                raise ValueError(f"inexact division: {r[k + d]} not divisible by {lead}")
+            q[k] = c
+            if c:
+                for j, b in terms:
+                    r[k + j] -= c * b
+        return IntPoly(q), IntPoly(r[:d])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -307,22 +303,13 @@ def dehomogenize(f: IntPoly, quad: IntPoly) -> IntPoly:
 
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + prem(a, b), and
-    a itself when deg a < deg b."""
+    a itself when deg a < deg b.  That power of lc(b) makes every quotient
+    coefficient an integer, so prem is the Euclidean remainder of the scaled a."""
     if b.is_zero():
         raise ZeroDivisionError("pseudo-division by zero")
-    da, db = a.degree(), b.degree()
-    if da < db:
+    if a.degree() < b.degree():
         return a
-    lead = b.lc()
-    r = list(a.coeffs)
-    for k in range(da, db - 1, -1):
-        c = r[k]
-        r = [lead * v for v in r]
-        if c:
-            for j, bc in enumerate(b.coeffs):
-                r[k - db + j] -= c * bc
-        # r[k] is now zero by construction
-    return IntPoly(r)
+    return (a * b.lc() ** (a.degree() - b.degree() + 1)) % b
 
 
 def sturm_sequence(f: IntPoly) -> list[IntPoly]:
@@ -373,14 +360,9 @@ def power_sums(f: IntPoly, count: int) -> list[int]:
     c = [f[d - i] for i in range(d + 1)]
     ps: list[int] = []
     for k in range(1, count + 1):
-        if k <= d:
-            acc = -k * c[k]
-            for i in range(1, k):
-                acc -= c[i] * ps[k - i - 1]
-        else:
-            acc = 0
-            for i in range(1, d + 1):
-                acc -= c[i] * ps[k - i - 1]
+        acc = -k * c[k] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            acc -= c[i] * ps[k - i - 1]
         ps.append(acc)
     return ps
 

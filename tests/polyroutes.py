@@ -1,8 +1,8 @@
 """Exact polynomial routines that only the tests use, as independent routes
-for cross-checks: the subresultant resultant, Newton interpolation over Z,
-the square root of a monic square, the one-shot base extension,
-homogenize and compose by whole `IntPoly` products, and Newton inversion of
-power sums mod p."""
+for cross-checks: the subresultant resultant, the pseudo-remainder scaled at
+every step, Newton interpolation over Z, the square root of a monic square,
+the one-shot base extension, homogenize and compose by whole `IntPoly`
+products, and Newton inversion of power sums mod p."""
 import operator
 from fractions import Fraction
 
@@ -52,6 +52,26 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
             if num % den:
                 raise ArithmeticError("subresultant final step failed")
             return s * t * (num // den)
+
+
+def prem_by_steps(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Pseudo-remainder by the textbook loop: at each of the deg a - deg b + 1
+    steps scale the running remainder by lc(b), then cancel its top term."""
+    if b.is_zero():
+        raise ZeroDivisionError("pseudo-division by zero")
+    da, db = a.degree(), b.degree()
+    if da < db:
+        return a
+    lead = b.lc()
+    r = list(a.coeffs)
+    for k in range(da, db - 1, -1):
+        c = r[k]
+        r = [lead * v for v in r]
+        if c:
+            for j, bc in enumerate(b.coeffs):
+                r[k - db + j] -= c * bc
+        # r[k] is now zero by construction
+    return IntPoly(r)
 
 
 def poly_sqrt(s: IntPoly) -> IntPoly:

@@ -20,6 +20,7 @@ from polyroutes import (
     homogenize_by_products,
     interpolate,
     poly_sqrt,
+    prem_by_steps,
     resultant,
 )
 
@@ -162,6 +163,98 @@ def test_prem_is_scaled_remainder(a, b):
     r = prem(a, b)
     k = max(a.degree() - b.degree() + 1, 0)
     assert sp.rem(to_sympy(a) * to_sympy(b).coeff(x, b.degree()) ** k - to_sympy(r), to_sympy(b), x) == 0
+
+
+# divisors' leading coefficients: units, and negative or non-unit ones
+divisor_lead = st.sampled_from([1, -1, 2, -3, 5])
+
+
+@given(any_poly(8), st.lists(coeff, max_size=4), divisor_lead)
+@settings(max_examples=150)
+def test_prem_matches_step_scaled_loop(a, lower, lead):
+    assert prem(a, IntPoly(lower + [lead])) == prem_by_steps(a, IntPoly(lower + [lead]))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (IntPoly([1, 2]), IntPoly([1, 0, -3])),  # deg a < deg b: a itself
+        (IntPoly(), IntPoly([4, 1, 2])),  # a = 0
+        (IntPoly([3, -1, 7, 2]), IntPoly([-3])),  # constant b
+        (IntPoly([5, 0, 0, 0, 1]), IntPoly([1, 2, -2])),  # negative non-unit lead
+        (IntPoly([-7, 3, 0, 4, 0, 9]), IntPoly([2, 0, 0, 5])),
+    ],
+)
+def test_prem_edge_cases_match_step_scaled_loop(a, b):
+    assert prem(a, b) == prem_by_steps(a, b)
+
+
+def test_prem_rejects_a_zero_divisor():
+    with pytest.raises(ZeroDivisionError, match="^pseudo-division by zero$"):
+        prem(IntPoly([1, 1]), IntPoly())
+
+
+@pytest.mark.parametrize(
+    "a, b, q, r",
+    [
+        # x^7 + 3x^5 + x^2 + 2 by x^5 - 1
+        (IntPoly([2, 0, 1, 0, 0, 3, 0, 1]), IntPoly([-1, 0, 0, 0, 0, 1]), IntPoly([3, 0, 1]), IntPoly([5, 0, 2])),
+        # 4x^6 + 2x^3 + 7 by 2x^3 + 1: interior zeros in divisor and quotient
+        (IntPoly([7, 0, 0, 2, 0, 0, 4]), IntPoly([1, 0, 0, 2]), IntPoly([0, 0, 0, 2]), IntPoly([7])),
+        (IntPoly(), IntPoly([1, 1]), IntPoly(), IntPoly()),  # zero dividend
+        (IntPoly([3, 2]), IntPoly([1, 0, -1]), IntPoly(), IntPoly([3, 2])),  # deg a < deg b
+        (IntPoly([6, -4, 0, 10]), IntPoly([-2]), IntPoly([-3, 2, 0, -5]), IntPoly()),  # constant divisor
+    ],
+)
+def test_divmod_pinned(a, b, q, r):
+    assert divmod(a, b) == (q, r)
+    assert q * b + r == a
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        # 2x^2 + 4x by 2x + 1: the top step leaves 3x
+        (IntPoly([0, 4, 2]), IntPoly([1, 2]), "inexact division: 3 not divisible by 2"),
+        # -3x^3 + 5x + 1 by -3x + 2: the top step leaves -2x^2
+        (IntPoly([1, 5, 0, -3]), IntPoly([2, -3]), "inexact division: -2 not divisible by -3"),
+    ],
+)
+def test_divmod_names_an_inexact_coefficient_below_the_top(a, b, message):
+    with pytest.raises(ValueError) as info:
+        divmod(a, b)
+    assert str(info.value) == message
+
+
+@given(any_poly(9), st.lists(st.sampled_from([0, 0, 1, -2]), max_size=5), st.sampled_from([1, -1]))
+@settings(max_examples=100)
+def test_divmod_by_a_unit_lead_is_euclidean(a, lower, lead):
+    """Divisors with a unit lead and many interior zeros: a = q b + r, deg r < deg b."""
+    b = IntPoly(lower + [lead])
+    q, r = divmod(a, b)
+    assert q * b + r == a and r.degree() < b.degree()
+
+
+def companion(f: IntPoly) -> list[list[int]]:
+    """The integer companion matrix of monic f: ones below the diagonal and
+    -f_0, ..., -f_(d-1) down the last column."""
+    d = f.degree()
+    return [[-f[i] if j == d - 1 else int(i == j + 1) for j in range(d)] for i in range(d)]
+
+
+@given(st.lists(coeff, min_size=1, max_size=8))
+@settings(max_examples=60)
+def test_power_sums_are_companion_traces(lower):
+    """p_k = tr(C^k) for every count below, at and above d = deg f, up to 3d."""
+    f = IntPoly(lower + [1])
+    d = f.degree()
+    c = companion(f)
+    power, traces = c, []
+    for _ in range(3 * d):
+        traces.append(sum(power[i][i] for i in range(d)))
+        power = [[sum(power[i][k] * c[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    for count in range(3 * d + 1):
+        assert power_sums(f, count) == traces[:count]
 
 
 @given(st.lists(coeff, min_size=1, max_size=6))

@@ -156,3 +156,22 @@ def test_one_implementation_per_exact_step():
     for name in ("canonical", "level"):
         called = {getattr(call.func, "attr", None) for call in ast.walk(relation[name]) if isinstance(call, ast.Call)}
         assert "rotate" not in called, name
+
+
+def test_one_recurrence_per_intpoly_idea():
+    """prem is the one long division's remainder of a scaled a, with no loop
+    of its own; power_sums runs Newton's identity in one loop with no branch
+    (the monic check before it stays); IntPoly.__mul__ takes an int through
+    _coerce like any constant; cli._context_for_q trial-divides only through
+    arith.least_prime_factor."""
+    functions = _functions("intpoly")
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(functions["prem"]))
+    loops = [node for node in ast.walk(functions["power_sums"]) if isinstance(node, ast.For)]
+    assert len(loops) == 2
+    assert not any(isinstance(node, ast.If) for node in ast.walk(loops[0]))
+    called = {getattr(call.func, "id", None) for call in ast.walk(functions["__mul__"]) if isinstance(call, ast.Call)}
+    assert "isinstance" not in called
+    context = _functions("cli")["_context_for_q"]
+    called = {getattr(call.func, "id", None) for call in ast.walk(context) if isinstance(call, ast.Call)}
+    assert "least_prime_factor" in called
+    assert not any(isinstance(node, ast.GeneratorExp) for node in ast.walk(context))
